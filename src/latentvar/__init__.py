@@ -49,7 +49,6 @@ from .model import (
 from .recover import (
     DEFAULT_CAP,
     DistanceMatrix,
-    MergeSearchState,
     NodeProfile,
     check,
     connected_classes,

@@ -346,7 +346,7 @@ def _recover_networks(meas: mdl.LinearMeasurements, cfg: RunConfig) -> list[mdl.
     if cfg.mode == "dtr":
         return [rec.dtr(meas)]
     if cfg.mode == "tree":
-        return [rec.recover_tree(meas)]
+        return [rec.recover_tree(meas, cap=cfg.cap)]
     return rec.nm(meas, cap=cfg.cap)
 
 

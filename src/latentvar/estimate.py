@@ -76,6 +76,16 @@ class EstimationReport:
         return len(self.names)
 
 
+def _centered(panel: TimeSeriesPanel) -> np.ndarray:
+    return panel.data - panel.data.mean(axis=0)
+
+
+def _autocov_at(x: np.ndarray, h: int) -> np.ndarray:
+    """Biased (1/T) autocovariance at lag h of the centered data x."""
+    t_len = x.shape[0]
+    return (x[h:].T @ x[: t_len - h]) / t_len
+
+
 def autocov(panel: TimeSeriesPanel, h: int) -> np.ndarray:
     """Biased (1/T) sample autocovariance at lag h, after mean removal."""
     t_len = panel.t_len
@@ -83,8 +93,7 @@ def autocov(panel: TimeSeriesPanel, h: int) -> np.ndarray:
         raise ValueError("h must be >= 0")
     if t_len <= h:
         raise InsufficientData(f"need T > {h}, got T = {t_len}")
-    x = panel.data - panel.data.mean(axis=0)
-    return (x[h:].T @ x[: t_len - h]) / t_len
+    return _autocov_at(_centered(panel), h)
 
 
 def block_toeplitz(gammas: Sequence[np.ndarray], l: int) -> np.ndarray:
@@ -104,8 +113,10 @@ def block_toeplitz(gammas: Sequence[np.ndarray], l: int) -> np.ndarray:
     return out
 
 
-def _prepare_toeplitz(gammas: Sequence[np.ndarray], l: int) -> np.ndarray:
-    """Block-Toeplitz matrix with the ridge fallback applied when needed."""
+def _solve_yule_walker(gammas: Sequence[np.ndarray], l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma(l), [B_0 .. B_l]) from gamma(0..l+1): the lagged covariance,
+    with the ridge fallback applied when it is ill-conditioned, and the
+    stacked coefficients [gamma(1)..gamma(l+1)] Gamma(l)^-1."""
     big = block_toeplitz(list(gammas[: l + 1]), l)
     cond = np.linalg.cond(big)
     if not np.isfinite(cond) or cond >= COND_LIMIT:
@@ -116,7 +127,16 @@ def _prepare_toeplitz(gammas: Sequence[np.ndarray], l: int) -> np.ndarray:
             raise SingularCovariance(
                 f"lagged covariance condition number {cond:.3g} after ridge"
             )
-    return big
+    stacked = np.hstack(gammas[1 : l + 2])
+    return big, np.linalg.solve(big, stacked.T).T
+
+
+def _residual_cov(x: np.ndarray, coeffs: np.ndarray, l: int) -> np.ndarray:
+    """Covariance of the one-step-ahead residuals of the stacked lag-l fit."""
+    n_eff = x.shape[0] - l - 1
+    design = np.hstack([x[l - k : l - k + n_eff] for k in range(l + 1)])
+    resid = x[l + 1 :] - design @ coeffs.T
+    return (resid.T @ resid) / n_eff
 
 
 def fit_from_autocovariances(
@@ -131,9 +151,7 @@ def fit_from_autocovariances(
     if len(gammas) < l + 2:
         raise ValueError(f"need gammas 0..{l + 1}")
     n = gammas[0].shape[0]
-    big = _prepare_toeplitz(gammas, l)
-    stacked = np.hstack([gammas[h] for h in range(1, l + 2)])
-    coeffs = np.linalg.solve(big, stacked.T).T
+    _, coeffs = _solve_yule_walker(gammas, l)
     blocks = [coeffs[:, k * n : (k + 1) * n] for k in range(l + 1)]
     resid = gammas[0] - sum(b @ gammas[k + 1].T for k, b in enumerate(blocks))
     return blocks, resid
@@ -152,17 +170,11 @@ def fit_coefficients(panel: TimeSeriesPanel, l: int) -> EstimationReport:
     t_len, n = panel.t_len, panel.n
     if t_len <= l + 1:
         raise InsufficientData(f"need T > l + 1 = {l + 1}, got T = {t_len}")
-    gammas = [autocov(panel, h) for h in range(l + 2)]
-    big = _prepare_toeplitz(gammas, l)
-    stacked = np.hstack([gammas[h] for h in range(1, l + 2)])
-    coeffs = np.linalg.solve(big, stacked.T).T
+    x = _centered(panel)
+    gammas = [_autocov_at(x, h) for h in range(l + 2)]
+    big, coeffs = _solve_yule_walker(gammas, l)
     blocks = tuple(coeffs[:, k * n : (k + 1) * n] for k in range(l + 1))
-
-    x = panel.data - panel.data.mean(axis=0)
-    n_eff = t_len - l - 1
-    design = np.hstack([x[l - k : l - k + n_eff] for k in range(l + 1)])
-    resid = x[l + 1 :] - design @ coeffs.T
-    sigma = (resid.T @ resid) / n_eff
+    sigma = _residual_cov(x, coeffs, l)
 
     inv_big = np.linalg.inv(big)
     col_var = np.diag(inv_big)  # variance factor per stacked regressor
@@ -186,7 +198,9 @@ def select_lag(panel: TimeSeriesPanel, l_max: int, criterion: str = "aic") -> in
 
     AIC(l) = ln det Sigma(l) + 2 l n^2 / T and
     FPE(l) = ((T + n l + 1) / (T - n l - 1))^n det Sigma(l), with Sigma(l)
-    the residual covariance of the lag-l fit.
+    the residual covariance of the lag-l fit (fit_coefficients' residual_cov).
+    The autocovariances gamma(0..l_max+1) are computed once and shared by
+    every lag.
     """
     crit = criterion.lower()
     if crit not in ("aic", "fpe"):
@@ -196,9 +210,11 @@ def select_lag(panel: TimeSeriesPanel, l_max: int, criterion: str = "aic") -> in
     t_len, n = panel.t_len, panel.n
     if l_max * n >= t_len / 2:
         raise InsufficientData(f"l_max * n = {l_max * n} must stay below T/2 = {t_len / 2}")
+    x = _centered(panel)
+    gammas = [_autocov_at(x, h) for h in range(l_max + 2)]
     best_l, best_score = 1, math.inf
     for l in range(1, l_max + 1):
-        sigma = fit_coefficients(panel, l).residual_cov
+        sigma = _residual_cov(x, _solve_yule_walker(gammas, l)[1], l)
         sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:
             logdet = -math.inf
@@ -215,7 +231,7 @@ def select_lag(panel: TimeSeriesPanel, l_max: int, criterion: str = "aic") -> in
 def prop1_bound(n: int, l: int, k: int, m_over_l: float, rho12: float, rho22: float) -> float:
     """Analytic bound on the induced 1-norm gap between B_k and the true A_k*.
 
-    sqrt(n (l-1) M/L) * rho12 * rho22, the same value at every k <= l-1.
+    sqrt(n (l-1) M/L) * rho12 * rho22, the same value at every k <= l.
 
     Unrolling the nilpotent latent block leaves, in the lag-l regression of
     X(t+1) on Y = [X(t); ...; X(t-l)], the noise e = w1(t+1) + sum_{j=0}^{l-1}
@@ -226,20 +242,20 @@ def prop1_bound(n: int, l: int, k: int, m_over_l: float, rho12: float, rho22: fl
     projection, E[e_c Y^T] Gamma(l)^-1 E[Y e_c^T] <= Cov(e_c), hence
     ||B - A||_2 <= sqrt(||Cov e_c|| / L) <= sqrt((l-1) M / L) * rho12 * rho22,
     where M bounds the latent noise variance and L = lambda_min(Gamma(l)).
-    Each B_k - A_k is a column block of B - A, and sqrt(n) turns its spectral
-    norm into a bound on its induced 1-norm.  The bound is zero only when e_c
-    vanishes, that is, when l = 1 or rho12 = 0 (rho22 = 0 means A22 = 0,
-    hence l = 1 for the true model).
+    Each B_k - A_k, k = 0..l, is a column block of B - A, and sqrt(n) turns
+    its spectral norm into a bound on its induced 1-norm.  The bound is zero
+    only when e_c vanishes, that is, when l <= 1 or rho12 = 0 (rho22 = 0
+    means A22 = 0, hence l = 1 for the true model).
 
     The rigorous L is lambda_min of the stacked Gamma(l).  compute_ml_ratio
     and extract_support pass lambda_min of gamma(0) instead, which is at
     least as large, so the value they get is no larger than the rigorous one.
     """
-    if k > l - 1:
-        raise ValueError("bound is only defined for k <= l - 1")
+    if k > l:
+        raise ValueError("bound is only defined for k <= l")
     if not 0.0 <= rho22 < 1.0:
         raise ValueError("rho22 must lie in [0, 1)")
-    return math.sqrt(n * (l - 1) * m_over_l) * rho12 * rho22
+    return math.sqrt(n * max(l - 1, 0) * m_over_l) * rho12 * rho22
 
 
 def recoverability_check(priors: BoundPriors, n: int, l: int, k: int, l_hat: float) -> bool:
@@ -270,8 +286,9 @@ def extract_support(
 
     Entry (j, i) of S_k is set iff the two-sided z-test at level alpha rejects
     zero, and, when priors are supplied, |B_k[j, i]| additionally exceeds the
-    analytic bound (prop1_bound) for every lag k <= l-1, the top one included;
-    the bound is the same at each of those lags.  L in M/L is lambda_min of
+    analytic bound (prop1_bound) at every block k = 0..l, the top one
+    included, since the bound covers the whole stack B - A; it has the same
+    value at each of them.  L in M/L is lambda_min of
     the sample gamma(0), which is at least lambda_min of the stacked Gamma(l)
     that the derivation calls for; switching to Gamma(l) would raise the
     bound and drop more entries on data.  The decisions are recorded on the report
@@ -287,12 +304,12 @@ def extract_support(
         l_hat = float(np.min(np.linalg.eigvalsh(report.gamma0)))
         m_over_l = priors.sigma_z2_max / l_hat
         bounds = [
-            prop1_bound(n, l, k, m_over_l, priors.rho12, priors.rho22) for k in range(l)
+            prop1_bound(n, l, k, m_over_l, priors.rho12, priors.rho22) for k in range(l + 1)
         ]
     supports = []
     for k, (b, se) in enumerate(zip(report.b_hat, report.entry_stderr)):
         mask = np.abs(b) > z_crit * se
-        if priors is not None and k <= l - 1:
+        if priors is not None:
             mask &= np.abs(b) > bounds[k]
         supports.append(mask.astype(np.uint8))
     meas = LinearMeasurements(n, supports, report.names)

@@ -241,14 +241,23 @@ class UnobservedNetwork:
                 a_ll[v - n, u - n] = True
         return a_oo, a_ol, a_ll, a_lo
 
+    @classmethod
+    def from_blocks(cls, observed, a_ol, a_ll, a_lo, a_oo=None) -> "UnobservedNetwork":
+        """Inverse of adjacency_blocks: the network whose nonzero block entries
+        are its edges (no observed->observed edges when ``a_oo`` is None)."""
+        n = len(observed)
+        edges = {(n + int(z), n + int(w)) for w, z in zip(*np.nonzero(a_ll))}
+        edges.update((int(i), n + int(z)) for z, i in zip(*np.nonzero(a_ol)))
+        edges.update((n + int(z), int(j)) for j, z in zip(*np.nonzero(a_lo)))
+        if a_oo is not None:
+            edges.update((int(i), int(j)) for j, i in zip(*np.nonzero(a_oo)))
+        return cls(tuple(observed), a_ll.shape[0], frozenset(edges))
+
     def latent_subgraph_is_dag(self) -> bool:
         """Kahn's algorithm on the latent-induced subgraph."""
-        m = self.latent_count
-        if m == 0:
-            return True
         _, _, a_ll, _ = self.adjacency_blocks()
         indeg = a_ll.sum(axis=1)
-        ready = [z for z in range(m) if indeg[z] == 0]
+        ready = [z for z in range(self.latent_count) if indeg[z] == 0]
         seen = 0
         while ready:
             z = ready.pop()
@@ -257,7 +266,7 @@ class UnobservedNetwork:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     ready.append(int(w))
-        return seen == m
+        return seen == self.latent_count
 
 
 @dataclass(frozen=True)
@@ -302,19 +311,27 @@ def true_linear_measurements(model: LatentVarModel, names: Sequence[str] | None 
 def network_of(model: LatentVarModel, names: Sequence[str] | None = None) -> UnobservedNetwork:
     """Support graph of the transition matrix, observed edges included."""
     b = model.blocks
-    n, m = b.n, b.m
-    edges = set()
-    for block, src_off, dst_off in (
-        (b.a11, 0, 0),
-        (b.a12, n, 0),
-        (b.a21, 0, n),
-        (b.a22, n, n),
-    ):
-        for dst, src in zip(*np.nonzero(np.abs(block) > ZERO_TOL)):
-            edges.add((int(src) + src_off, int(dst) + dst_off))
     if names is None:
-        names = default_names(n)
-    return UnobservedNetwork(tuple(names), m, frozenset(edges))
+        names = default_names(b.n)
+    a11, a12, a21, a22 = (np.abs(a) > ZERO_TOL for a in (b.a11, b.a12, b.a21, b.a22))
+    return UnobservedNetwork.from_blocks(names, a21, a22, a12, a11)
+
+
+def _latent_walk(network: UnobservedNetwork, lengths: int) -> list[np.ndarray]:
+    """Path counts ``[a_oo, P_1, .., P_lengths]``, with ``P_k[j, i]`` the number
+    of directed paths ``i -> j`` of length ``k + 1`` whose interior is all
+    latent.  A DAG path is fixed by its set of interior nodes, so counts stay
+    below 2**m and int64 holds them exactly up to m = 62 latent nodes.
+    Raises CyclicLatent when the latent subgraph has a cycle."""
+    if not network.latent_subgraph_is_dag():
+        raise CyclicLatent("latent subgraph contains a directed cycle")
+    a_oo, a_ol, a_ll, a_lo = (a.astype(np.int64) for a in network.adjacency_blocks())
+    counts = [a_oo]
+    reach = a_ol  # reach[z, i]: paths from observed i to latent z
+    for _ in range(lengths):
+        counts.append(a_lo @ reach)
+        reach = a_ll @ reach
+    return counts
 
 
 def path_census(network: UnobservedNetwork, max_len: int) -> LinearMeasurements:
@@ -326,15 +343,8 @@ def path_census(network: UnobservedNetwork, max_len: int) -> LinearMeasurements:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if not network.latent_subgraph_is_dag():
-        raise CyclicLatent("latent subgraph contains a directed cycle")
-    a_oo, a_ol, a_ll, a_lo = network.adjacency_blocks()
-    supports = [a_oo.astype(np.uint8)]
-    reach = a_ol  # latent x observed: latent z reachable from i in k latent steps
-    for _ in range(1, max_len):
-        supports.append((a_lo @ reach).astype(np.uint8))
-        reach = (a_ll.astype(np.uint8) @ reach.astype(np.uint8)) > 0
-    return LinearMeasurements(network.n, supports, network.observed)
+    counts = _latent_walk(network, max_len - 1)
+    return LinearMeasurements(network.n, [c != 0 for c in counts], network.observed)
 
 
 def complete_census(network: UnobservedNetwork) -> LinearMeasurements:
@@ -349,17 +359,7 @@ def latent_path_counts(network: UnobservedNetwork) -> list[np.ndarray]:
     with all-latent interior (``k = 0`` is the plain adjacency).  Lets callers
     check the single-path-per-length condition the merge search relies on.
     """
-    if not network.latent_subgraph_is_dag():
-        raise CyclicLatent("latent subgraph contains a directed cycle")
-    a_oo, a_ol, a_ll, a_lo = network.adjacency_blocks()
-    counts = [a_oo.astype(np.int64)]
-    reach = a_ol.astype(np.int64)
-    lo = a_lo.astype(np.int64)
-    ll = a_ll.astype(np.int64)
-    for _ in range(network.latent_count):
-        counts.append(lo @ reach)
-        reach = ll @ reach
-    return counts
+    return _latent_walk(network, network.latent_count)
 
 
 def single_path_per_length(network: UnobservedNetwork) -> bool:

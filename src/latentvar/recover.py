@@ -18,7 +18,7 @@ Three recovery routes plus a small-scale exhaustive oracle:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,14 +69,6 @@ class DistanceMatrix:
     """Latent-path lengths d[i, j] between observed nodes (0 = no path)."""
 
     d: np.ndarray
-
-
-@dataclass
-class MergeSearchState:
-    """One level of the merge search: merge count and deduplicated frontier."""
-
-    level: int
-    frontier: dict[bytes, UnobservedNetwork] = field(default_factory=dict)
 
 
 def node_profiles(meas: LinearMeasurements) -> list[NodeProfile]:
@@ -269,15 +261,9 @@ def merge(g: UnobservedNetwork, u: int, v: int) -> UnobservedNetwork:
     v's remaining parents and children to u, and renumber the latents."""
     if u == v or not (g.is_latent(u) and g.is_latent(v)):
         raise ValueError("merge needs two distinct latent node ids")
-    edges = set()
-    for a, b in g.edges:
-        if {a, b} == {u, v}:
-            continue
-        edges.add((u if a == v else a, u if b == v else b))
-    shifted = {
-        (a - 1 if a > v else a, b - 1 if b > v else b) for a, b in edges
-    }
-    return UnobservedNetwork(g.observed, g.latent_count - 1, frozenset(shifted))
+    a_oo, *blocks = g.adjacency_blocks()
+    merged = _merge_blocks(*blocks, u - g.n, v - g.n)
+    return UnobservedNetwork.from_blocks(g.observed, *merged, a_oo)
 
 
 def check(g: UnobservedNetwork, u: int, v: int, meas: LinearMeasurements) -> bool:
@@ -297,15 +283,10 @@ def _restrict(meas: LinearMeasurements, cls: frozenset[int]) -> LinearMeasuremen
     return LinearMeasurements(meas.n, supports, meas.names)
 
 
-def _network_blocks(g: UnobservedNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(obs->latent, latent->latent, latent->obs) integer blocks of a network."""
-    _, a_ol, a_ll, a_lo = g.adjacency_blocks()
-    return a_ol.astype(np.int64), a_ll.astype(np.int64), a_lo.astype(np.int64)
-
-
 def _merge_blocks(p, b, q, x: int, y: int):
-    """Block form of merge(): fold latent y into latent x, drop their mutual
-    edges, remove y's row/column."""
+    """Fold latent y into latent x in the (obs->latent, latent->latent,
+    latent->obs) blocks: drop the pair's mutual edges, hand y's parents and
+    children to x, and delete y's row and column."""
     p2 = p.copy()
     p2[x] |= p2[y]
     b2 = b.copy()
@@ -318,24 +299,13 @@ def _merge_blocks(p, b, q, x: int, y: int):
     return p2[keep], b2[np.ix_(keep, keep)], q2[:, keep]
 
 
-def _blocks_acyclic(b: np.ndarray) -> bool:
-    m = b.shape[0]
-    indeg = b.sum(axis=1)
-    ready = [z for z in range(m) if indeg[z] == 0]
-    seen = 0
-    while ready:
-        z = ready.pop()
-        seen += 1
-        for w in np.flatnonzero(b[:, z]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(int(w))
-    return seen == m
-
-
 def _blocks_valid(p, b, q, supports) -> bool:
     """Census of the block-form network equals ``supports`` (the S_1.. list)
-    entrywise with at most one path per pair and length."""
+    entrywise with at most one path per pair and length, and the walk from
+    the observed nodes dies within the latent count (so no latent reachable
+    from an observed node lies on a cycle).  Past the supports only
+    reachability matters, so the walk saturates at 1 there, which keeps the
+    counts of a cyclic graph from overflowing."""
     m = b.shape[0]
     reach = p
     for s in supports:
@@ -348,20 +318,8 @@ def _blocks_valid(p, b, q, supports) -> bool:
             return True
         if (q @ reach).any():
             return False
-        reach = b @ reach
+        reach = np.minimum(b @ reach, 1)
     return not reach.any()
-
-
-def _blocks_to_network(names, p, b, q) -> UnobservedNetwork:
-    n = len(names)
-    edges = set()
-    for z, i in zip(*np.nonzero(p)):
-        edges.add((int(i), n + int(z)))
-    for z2, z1 in zip(*np.nonzero(b)):
-        edges.add((n + int(z1), n + int(z2)))
-    for j, z in zip(*np.nonzero(q)):
-        edges.add((n + int(z), int(j)))
-    return UnobservedNetwork(names, b.shape[0], frozenset(edges))
 
 
 def _disjoint_union(names: tuple[str, ...], nets: tuple[UnobservedNetwork, ...]) -> UnobservedNetwork:
@@ -386,6 +344,13 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     paths is dropped (splitting such a node back would not reproduce the
     private-path graph, so no minimal in-universe network is lost).  Classes
     combine by disjoint union; output is sorted by canonical key.
+
+    No separate acyclicity test is needed.  Every latent of a merge graph
+    lies on a path from an observed node: init_graph builds chains that start
+    at observed nodes, and a merge keeps every other in-edge, so walks from
+    the observed nodes survive it.  A latent cycle therefore keeps the walk
+    from the observed nodes alive past the latent count, and _blocks_valid
+    rejects the merge.
     """
     classes = connected_classes(meas)
     per_class: list[list[UnobservedNetwork]] = []
@@ -393,31 +358,22 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
         meas_c = _restrict(meas, cls)
         targets = [s.astype(bool) for s in meas_c.supports[1:]]
         g0 = init_graph(meas, cls, cap)
-        g0_key = canonical_form(g0).key
-        state = MergeSearchState(0, {g0_key: g0})
-        blocks = {g0_key: _network_blocks(g0)}
-        final = state.frontier
+        _, *blocks0 = (a.astype(np.int64) for a in g0.adjacency_blocks())
+        # canonical key -> (network, its int64 blocks), one merge level each
+        frontier = {canonical_form(g0).key: (g0, blocks0)}
         while True:
-            nxt: dict[bytes, UnobservedNetwork] = {}
-            nxt_blocks: dict[bytes, tuple] = {}
-            for key, g in state.frontier.items():
-                p, b, q = blocks[key]
-                m = b.shape[0]
-                for x, y in itertools.combinations(range(m), 2):
-                    p2, b2, q2 = _merge_blocks(p, b, q, x, y)
-                    if not (_blocks_acyclic(b2) and _blocks_valid(p2, b2, q2, targets)):
+            nxt: dict[bytes, tuple] = {}
+            for _, (p, b, q) in frontier.values():
+                for x, y in itertools.combinations(range(b.shape[0]), 2):
+                    merged = _merge_blocks(p, b, q, x, y)
+                    if not _blocks_valid(*merged, targets):
                         continue
-                    merged = _blocks_to_network(meas.names, p2, b2, q2)
-                    mkey = canonical_form(merged).key
-                    if mkey not in nxt:
-                        nxt[mkey] = merged
-                        nxt_blocks[mkey] = (p2, b2, q2)
+                    g = UnobservedNetwork.from_blocks(meas.names, *merged)
+                    nxt.setdefault(canonical_form(g).key, (g, merged))
             if not nxt:
                 break
-            state = MergeSearchState(state.level + 1, nxt)
-            blocks = nxt_blocks
-            final = nxt
-        per_class.append([g for _, g in sorted(final.items())])
+            frontier = nxt
+        per_class.append([frontier[key][0] for key in sorted(frontier)])
     if not per_class:
         return [UnobservedNetwork(meas.names, 0, frozenset())]
     combos = {}
@@ -444,18 +400,19 @@ def _latent_skeleton_is_forest(g: UnobservedNetwork) -> bool:
     return True
 
 
-def recover_tree(meas: LinearMeasurements) -> UnobservedNetwork:
+def recover_tree(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> UnobservedNetwork:
     """Unique tree realization of the measurements.
 
     Valid when the unobserved network is a directed tree and every latent
     node has at least two parents and two children: the minimal networks are
     searched and the single candidate passing the tree and degree filters is
     returned.  Raises NotIdentifiable when zero or several survive and
-    AmbiguousDistance when the measurements cannot come from a tree at all.
+    AmbiguousDistance when the measurements cannot come from a tree at all,
+    and CapExceeded when the merge search's initial graph exceeds ``cap``.
     """
     distance_matrix(meas)
     keep = []
-    for g in nm(meas):
+    for g in nm(meas, cap):
         if not _latent_skeleton_is_forest(g):
             continue
         if all(len(g.parents(z)) >= 2 and len(g.children(z)) >= 2 for z in g.latent_ids):

@@ -199,6 +199,13 @@ class TestRecoverCommand:
         assert code == 3
         assert "CapExceeded" in capsys.readouterr().err
 
+    def test_tree_mode_respects_cap(self, ambig_meas_json, tmp_path, capsys):
+        # the initial merge graph needs 5 latents; a cap of 1 must stop it
+        code = run(["recover", ambig_meas_json, "--mode", "tree", "--cap", "1",
+                    "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert "CapExceeded" in capsys.readouterr().err
+
     def test_bad_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

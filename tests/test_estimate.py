@@ -185,8 +185,12 @@ class TestProp1Bound:
         assert abs(got - want) < 1e-12
 
     def test_rejects_k_beyond_range(self):
+        # a lag-l fit has blocks B_0..B_l, so k = l is in range and k = l + 1 not
         with pytest.raises(ValueError):
-            lv.prop1_bound(5, 3, 3, 0.5, 0.4, 0.3)
+            lv.prop1_bound(5, 3, 4, 0.5, 0.4, 0.3)
+
+    def test_top_block_gets_the_flat_bound(self):
+        assert lv.prop1_bound(5, 3, 3, 0.5, 0.4, 0.3) == lv.prop1_bound(5, 3, 0, 0.5, 0.4, 0.3)
 
 
 class TestRecoverabilityCheck:
@@ -271,6 +275,20 @@ class TestExtractSupport:
         # bound at k=0, l=2: sqrt(1 * (l-k-1) * 1/1) * 1 * 0.5 = 0.5 > 0.08
         assert gated.supports[0][0, 0] == 0
         assert rep.bounds is not None and abs(rep.bounds[0] - 0.5) < 1e-12
+
+    def test_prior_gate_covers_every_block(self):
+        # the projection bound covers the whole stack B - A, block l included;
+        # on this panel the lag-3 fit once kept S_3 entries with |B_3| = 0.032
+        # under a bound of 0.874
+        model = lv.gen_drg(lv.DrgConfig(n=6, m=4, p=0.4, q=0.4, a=0.2, seed=7))
+        rep = lv.fit_coefficients(lv.simulate(model, 4000, seed=7), 3)
+        priors = lv.BoundPriors(rho12=0.5, rho22=0.5, sigma_z2_max=1.0)
+        meas = lv.extract_support(rep, alpha=0.05, priors=priors)
+        assert len(rep.bounds) == len(rep.b_hat) == 4
+        for k, s in enumerate(meas.supports):
+            assert (np.abs(rep.b_hat[k])[s.astype(bool)] > rep.bounds[k]).all()
+        plain = lv.extract_support(rep, alpha=0.05)
+        assert plain.max_k == 3 and plain.supports[3].any()
 
     def test_report_records_decisions(self):
         rep = self._report([np.zeros((2, 2))], [np.full((2, 2), 0.1)])

@@ -87,10 +87,6 @@ def test_nm_keys_in_order(golden, name):
     assert nm_keys(nm_cases()[name]) == golden["nm"][name]
 
 
-def test_ambiguity_case_has_two_networks(golden):
-    assert len(golden["nm"]["ambiguity"]) == 2
-
-
 def test_selected_lags(golden, panel):
     want = golden["estimation"]
     assert lv.select_lag(panel, LAG_MAX) == want["lag_aic"]

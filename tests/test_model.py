@@ -169,6 +169,104 @@ class TestPathCensus:
         assert lv.consistent(net, meas)
 
 
+def brute_force_path_counts(net: lv.UnobservedNetwork) -> list[np.ndarray]:
+    """Reference for latent_path_counts: enumerate every path i -> .. -> j
+    with all-latent interior by depth-first search over the edge list."""
+    n, m = net.n, net.latent_count
+    children = {v: sorted(net.children(v)) for v in range(n + m)}
+    counts = [np.zeros((n, n), dtype=np.int64) for _ in range(m + 1)]
+
+    def walk(source: int, node: int, length: int):
+        for nxt in children[node]:
+            if nxt < n:
+                counts[length][nxt, source] += 1
+            else:
+                walk(source, nxt, length + 1)
+
+    for i in range(n):
+        walk(i, i, 0)
+    return counts
+
+
+def gen_latent_dag_network(rng: np.random.Generator) -> lv.UnobservedNetwork:
+    """Random network on a random latent DAG, dense enough that parallel
+    same-length paths and latent nodes with several latent parents are common."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(0, 7))
+    order = rng.permutation(m)
+    edges = set()
+    for a in range(m):
+        for b in range(a + 1, m):
+            if rng.random() < 0.45:
+                edges.add((n + int(order[a]), n + int(order[b])))
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.2:
+                edges.add((i, j))
+        for z in range(m):
+            if rng.random() < 0.4:
+                edges.add((i, n + z))
+            if rng.random() < 0.4:
+                edges.add((n + z, i))
+    return lv.UnobservedNetwork(tuple(str(i) for i in range(n)), m, frozenset(edges))
+
+
+class TestPathCountsAgainstEnumeration:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_and_census_match_dfs(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        multi_path = multi_parent = 0
+        for _ in range(40):
+            net = gen_latent_dag_network(rng)
+            want = brute_force_path_counts(net)
+            got = lv.latent_path_counts(net)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            for max_len in range(1, net.latent_count + 3):
+                census = lv.path_census(net, max_len)
+                full = [(w > 0).astype(np.uint8) for w in want[:max_len]]
+                assert census == lv.LinearMeasurements(net.n, full)
+            multi_path += any((w > 1).any() for w in want[1:])
+            multi_parent += any(
+                len(net.parents(z) & set(net.latent_ids)) >= 2 for z in net.latent_ids
+            )
+        assert multi_path and multi_parent
+
+    def test_counts_past_uint8(self):
+        # 0 -> 256 parallel latents -> w -> 1: S_2[1, 0] has 256 paths, which
+        # a uint8 walk wraps to zero
+        lat = range(2, 258)
+        w = 258
+        edges = {(0, z) for z in lat} | {(z, w) for z in lat} | {(w, 1)}
+        net = lv.UnobservedNetwork(("a", "b"), 257, frozenset(edges))
+        assert lv.latent_path_counts(net)[2][1, 0] == 256
+        meas = lv.path_census(net, 3)
+        assert meas.max_k == 2
+        assert meas.supports[2].tolist() == [[0, 0], [1, 0]]
+
+    def test_cyclic_latent_rejected(self):
+        net = lv.UnobservedNetwork(("1",), 2, frozenset({(0, 1), (1, 2), (2, 1), (2, 0)}))
+        with pytest.raises(lv.CyclicLatent):
+            lv.latent_path_counts(net)
+
+
+class TestFromBlocks:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_round_trip(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        for _ in range(20):
+            net = gen_latent_dag_network(rng)
+            a_oo, a_ol, a_ll, a_lo = net.adjacency_blocks()
+            assert lv.UnobservedNetwork.from_blocks(net.observed, a_ol, a_ll, a_lo, a_oo) == net
+
+    def test_without_observed_block(self):
+        net = lv.UnobservedNetwork(("a", "b"), 1, frozenset({(0, 1), (0, 2), (2, 1)}))
+        _, *latent = net.adjacency_blocks()
+        got = lv.UnobservedNetwork.from_blocks(net.observed, *latent)
+        assert got.edges == frozenset({(0, 2), (2, 1)})
+
+
 class TestConsistent:
     def test_ambiguous_example_both_networks(self, ambig_left, ambig_right, ambig_meas):
         assert lv.consistent(ambig_left, ambig_meas)

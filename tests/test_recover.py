@@ -1,6 +1,8 @@
 """Recovery tests: node profiles, unique parents, DTR, the merge search, the
 tree route, and the exhaustive oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,14 @@ class TestRecoverTree:
     def test_empty_measurements(self):
         meas = lv.LinearMeasurements(2, [np.zeros((2, 2), dtype=int)])
         assert lv.recover_tree(meas).latent_count == 0
+
+    def test_cap_passed_to_merge_search(self):
+        star = lv.UnobservedNetwork(
+            ("1", "2", "3", "4"), 1, frozenset({(0, 4), (1, 4), (4, 2), (4, 3)})
+        )
+        with pytest.raises(lv.CapExceeded):
+            lv.recover_tree(lv.complete_census(star), cap=3)
+        assert lv.recover_tree(lv.complete_census(star), cap=4).latent_count == 1
 
     def test_random_hidden_trees(self):
         # >= 100 random tree networks whose latent nodes all have >= 2
@@ -362,6 +372,69 @@ class TestNmMatchesOracle:
             pytest.skip("no instance drawn")
         _, meas = got
         assert canon_keys(lv.nm(meas)) == canon_keys(lv.oracle_minimal(meas, 5))
+
+
+def merge_by_edges(g, u, v):
+    """Reference contraction on the edge list: v's edges go to u, the pair's
+    mutual edges vanish, latents above v shift down by one."""
+    edges = {(u if a == v else a, u if b == v else b) for a, b in g.edges if {a, b} != {u, v}}
+    shift = lambda x: x - 1 if x > v else x  # noqa: E731
+    return lv.UnobservedNetwork(
+        g.observed, g.latent_count - 1, frozenset((shift(a), shift(b)) for a, b in edges)
+    )
+
+
+class TestMergeMatchesEdgeContraction:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_networks(self, seed):
+        rng = np.random.default_rng(6000 + seed)
+        pairs = 0
+        while pairs < 100:
+            got = gen_single_path_instance(rng)
+            if got is None:
+                continue
+            net, _ = got
+            extra = {(0, 1), (1, 1)} if net.n > 1 else set()
+            net = lv.UnobservedNetwork(net.observed, net.latent_count, net.edges | extra)
+            for u in net.latent_ids:
+                for v in net.latent_ids:
+                    if u != v:
+                        assert lv.merge(net, u, v) == merge_by_edges(net, u, v)
+                        pairs += 1
+
+
+class TestMergeSearchRejectsCycles:
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [(3, 0, 1)],
+            [(2, 0, 1), (2, 1, 0)],
+            [(2, 0, 1), (3, 1, 2), (1, 2, 0)],
+            [(1, 1, 2), (2, 0, 3), (2, 1, 3)],
+        ],
+    )
+    def test_every_cyclic_merge_fails_the_census_walk(self, entries):
+        # nm relies on this instead of a separate acyclicity test: merge graphs
+        # keep every latent reachable from an observed node, so a cycle keeps
+        # the walk alive and _blocks_valid rejects the merge
+        from latentvar.recover import _blocks_valid
+
+        meas = meas_from_entries(4, entries)
+        targets = [s.astype(bool) for s in meas.supports[1:]]
+        frontier = [lv.init_graph(meas, frozenset(range(4)))]
+        cyclic = 0
+        for _level in range(2):
+            nxt = []
+            for g in frontier:
+                for u, v in itertools.combinations(g.latent_ids, 2):
+                    merged = lv.merge(g, u, v)
+                    _, *blocks = (a.astype(np.int64) for a in merged.adjacency_blocks())
+                    if not merged.latent_subgraph_is_dag():
+                        cyclic += 1
+                        assert not _blocks_valid(*blocks, targets)
+                    nxt.append(merged)
+            frontier = nxt
+        assert cyclic > 0
 
 
 class TestMergeSearchLevels:
