@@ -1,5 +1,6 @@
-"""Golden outputs: the merge search's canonical keys (in order) and the
-estimation path's lag, supports and coefficients on fixed inputs, pinned in
+"""Golden outputs: the merge search's canonical keys (in order), the
+canonical keys of fixed networks, and the estimation path's lag, supports
+and coefficients on fixed inputs, pinned in
 ``golden_outputs.json`` so that refactors of the graph core or the
 Yule-Walker path cannot change what the package returns.
 
@@ -21,6 +22,12 @@ GOLDEN = Path(__file__).with_name("golden_outputs.json")
 #: Seeds of gen_single_path_instance draws whose nm output is pinned.
 NM_SEEDS = (5001, 5004, 5006, 5007, 5008, 5012, 5013, 5015)
 
+#: Seeds of gen_single_path_instance draws whose own canonical key is pinned.
+CANON_SEEDS = (6001, 6002, 6003, 6004, 6005, 6006, 6007, 6008)
+
+#: Sizes of the interchangeable-latent families (one refinement class each).
+CANON_KS = (2, 3, 4, 5)
+
 PANEL_CFG = dict(n=6, m=4, p=0.4, q=0.4, a=0.2, seed=7)
 PANEL_T = 4000
 LAG_MAX = 4
@@ -41,6 +48,57 @@ def nm_cases() -> dict[str, lv.LinearMeasurements]:
         assert got is not None
         cases[f"single_path_{seed}"] = got[1]
     return cases
+
+
+def twin_latents(k: int) -> lv.UnobservedNetwork:
+    """k latents sharing one observed parent and one observed child."""
+    edges = {(0, 2 + z) for z in range(k)} | {(2 + z, 1) for z in range(k)}
+    return lv.UnobservedNetwork(("a", "b"), k, frozenset(edges))
+
+
+def latent_cycle(k: int) -> lv.UnobservedNetwork:
+    """k latents on a directed cycle, each fed by the one observed node:
+    refinement leaves one class and only some orderings give the least key."""
+    edges = {(0, 1 + z) for z in range(k)}
+    edges |= {(1 + z, 1 + (z + 1) % k) for z in range(k)}
+    return lv.UnobservedNetwork(("a",), k, frozenset(edges))
+
+
+def matched_layers(k: int) -> lv.UnobservedNetwork:
+    """Two classes of k latents, top z -> bottom z, tops fed by observed a
+    and bottoms feeding observed b: the orderings of both classes interact."""
+    edges = {(0, 2 + z) for z in range(k)} | {(2 + k + z, 1) for z in range(k)}
+    edges |= {(2 + z, 2 + k + z) for z in range(k)}
+    return lv.UnobservedNetwork(("a", "b"), 2 * k, frozenset(edges))
+
+
+def canonical_cases() -> dict[str, lv.UnobservedNetwork]:
+    meas = ambiguity_meas()
+    cases = {
+        "ambiguity_left": lv.UnobservedNetwork(
+            meas.names, 3, frozenset({(0, 4), (4, 5), (5, 3), (1, 4), (1, 6), (6, 2)})
+        ),
+        "ambiguity_right": lv.UnobservedNetwork(
+            meas.names, 3, frozenset({(0, 4), (4, 5), (5, 3), (1, 6), (6, 5), (6, 2)})
+        ),
+    }
+    for seed in CANON_SEEDS:
+        got = gen_single_path_instance(np.random.default_rng(seed))
+        assert got is not None
+        cases[f"single_path_{seed}"] = got[0]
+    for k in CANON_KS:
+        cases[f"twins_{k}"] = twin_latents(k)
+        cases[f"cycle_{k}"] = latent_cycle(k)
+        if k <= 4:
+            cases[f"layers_{k}"] = matched_layers(k)
+    return cases
+
+
+def relabel_latents(g: lv.UnobservedNetwork, perm) -> lv.UnobservedNetwork:
+    n = g.n
+    f = {n + z: n + int(p) for z, p in enumerate(perm)}
+    edges = frozenset((f.get(u, u), f.get(v, v)) for u, v in g.edges)
+    return lv.UnobservedNetwork(g.observed, g.latent_count, edges)
 
 
 def nm_keys(meas: lv.LinearMeasurements) -> list[str]:
@@ -68,6 +126,9 @@ def estimation_outputs(panel: lv.TimeSeriesPanel) -> dict:
 def compute_golden() -> dict:
     return {
         "nm": {name: nm_keys(meas) for name, meas in nm_cases().items()},
+        "canonical": {
+            name: lv.canonical_form(g).key.decode() for name, g in canonical_cases().items()
+        },
         "estimation": estimation_outputs(golden_panel()),
     }
 
@@ -85,6 +146,15 @@ def panel() -> lv.TimeSeriesPanel:
 @pytest.mark.parametrize("name", ["ambiguity", *(f"single_path_{s}" for s in NM_SEEDS)])
 def test_nm_keys_in_order(golden, name):
     assert nm_keys(nm_cases()[name]) == golden["nm"][name]
+
+
+@pytest.mark.parametrize("name", sorted(canonical_cases()))
+def test_canonical_keys(golden, name):
+    g = canonical_cases()[name]
+    want = golden["canonical"][name]
+    assert lv.canonical_form(g).key.decode() == want
+    perm = np.random.default_rng(len(name)).permutation(g.latent_count)
+    assert lv.canonical_form(relabel_latents(g, perm)).key.decode() == want
 
 
 def test_selected_lags(golden, panel):
