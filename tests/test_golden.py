@@ -28,6 +28,10 @@ CANON_SEEDS = (6001, 6002, 6003, 6004, 6005, 6006, 6007, 6008)
 #: Sizes of the interchangeable-latent families (one refinement class each).
 CANON_KS = (2, 3, 4, 5)
 
+#: Lengths of latent chains whose middle latents need several refinement
+#: rounds to tell apart (stopping after one round changes their keys).
+CHAIN_KS = (5, 6)
+
 PANEL_CFG = dict(n=6, m=4, p=0.4, q=0.4, a=0.2, seed=7)
 PANEL_T = 4000
 LAG_MAX = 4
@@ -72,6 +76,12 @@ def matched_layers(k: int) -> lv.UnobservedNetwork:
     return lv.UnobservedNetwork(("a", "b"), 2 * k, frozenset(edges))
 
 
+def latent_chain(k: int) -> lv.UnobservedNetwork:
+    """a -> k latents in a row -> b."""
+    edges = {(0, 2), (1 + k, 1)} | {(2 + z, 3 + z) for z in range(k - 1)}
+    return lv.UnobservedNetwork(("a", "b"), k, frozenset(edges))
+
+
 def canonical_cases() -> dict[str, lv.UnobservedNetwork]:
     meas = ambiguity_meas()
     cases = {
@@ -91,6 +101,8 @@ def canonical_cases() -> dict[str, lv.UnobservedNetwork]:
         cases[f"cycle_{k}"] = latent_cycle(k)
         if k <= 4:
             cases[f"layers_{k}"] = matched_layers(k)
+    for k in CHAIN_KS:
+        cases[f"chain_{k}"] = latent_chain(k)
     return cases
 
 
