@@ -172,8 +172,7 @@ def write_panel_csv(path: str, panel: TimeSeriesPanel) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(panel.names)
-        for row in panel.data:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(panel.data.tolist())  # csv writes floats with repr
 
 
 def read_panel_csv(path: str) -> TimeSeriesPanel:
@@ -186,7 +185,7 @@ def read_panel_csv(path: str) -> TimeSeriesPanel:
         raise InputError(f"{path}: need a header row and at least one sample")
     names = [c.strip() for c in rows[0]]
     try:
-        data = np.array([[float(c) for c in row] for row in rows[1:]], dtype=float)
+        data = np.array(rows[1:], dtype=float)  # parses each cell as float() does
     except ValueError as exc:
         raise InputError(f"{path}: non-numeric cell ({exc})") from exc
     if data.ndim != 2 or data.shape[1] != len(names):

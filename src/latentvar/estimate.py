@@ -292,7 +292,9 @@ def extract_support(
     the sample gamma(0), which is at least lambda_min of the stacked Gamma(l)
     that the derivation calls for; switching to Gamma(l) would raise the
     bound and drop more entries on data.  The decisions are recorded on the report
-    (alpha, bounds, supports) and the trimmed measurements returned.
+    (alpha, bounds, supports) and the trimmed measurements returned.  With
+    priors, a gamma(0) whose lambda_min is not positive (a constant series,
+    say) leaves M/L undefined and raises SingularCovariance.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -302,6 +304,10 @@ def extract_support(
     bounds: list[float] = []
     if priors is not None:
         l_hat = float(np.min(np.linalg.eigvalsh(report.gamma0)))
+        if l_hat <= 0:
+            raise SingularCovariance(
+                f"gamma(0) has lambda_min = {l_hat!r}; the prior bound needs it positive"
+            )
         m_over_l = priors.sigma_z2_max / l_hat
         bounds = [
             prop1_bound(n, l, k, m_over_l, priors.rho12, priors.rho22) for k in range(l + 1)

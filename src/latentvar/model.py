@@ -405,12 +405,8 @@ def _refine_latent_colors(network: UnobservedNetwork) -> list[list[int]]:
     def tag(node: int) -> tuple[int, int]:
         return (0, node) if node < n else (1, colors[node - n])
 
-    def grouping(cols) -> frozenset:
-        groups: dict[int, list[int]] = {}
-        for z, c in enumerate(cols):
-            groups.setdefault(c, []).append(z)
-        return frozenset(frozenset(g) for g in groups.values())
-
+    # Each signature starts with the node's current color, so a round only
+    # splits classes; the partition is stable once no class splits.
     while True:
         sigs = []
         for z in range(m):
@@ -421,9 +417,8 @@ def _refine_latent_colors(network: UnobservedNetwork) -> list[list[int]]:
             )
             sigs.append(sig)
         rank = {s: c for c, s in enumerate(sorted(set(sigs)))}
-        new_colors = [rank[s] for s in sigs]
-        done = grouping(new_colors) == grouping(colors)
-        colors = new_colors
+        done = len(rank) == len(set(colors))
+        colors = [rank[s] for s in sigs]
         if done:
             break
     classes: dict[int, list[int]] = {}

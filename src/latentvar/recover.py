@@ -273,30 +273,19 @@ def check(g: UnobservedNetwork, u: int, v: int, meas: LinearMeasurements) -> boo
     return merged.latent_subgraph_is_dag() and consistent(merged, meas)
 
 
-def _restrict(meas: LinearMeasurements, cls: frozenset[int]) -> LinearMeasurements:
-    """Measurements with every latent entry outside cls x cls zeroed out."""
-    mask = np.zeros(meas.n, dtype=bool)
-    mask[list(cls)] = True
-    outer = np.outer(mask, mask).astype(np.uint8)
-    supports = [np.zeros((meas.n, meas.n), dtype=np.uint8)]
-    supports += [s * outer for s in meas.supports[1:]]
-    return LinearMeasurements(meas.n, supports, meas.names)
-
-
 def _merge_blocks(p, b, q, x: int, y: int):
     """Fold latent y into latent x in the (obs->latent, latent->latent,
     latent->obs) blocks: drop the pair's mutual edges, hand y's parents and
     children to x, and delete y's row and column."""
-    p2 = p.copy()
-    p2[x] |= p2[y]
-    b2 = b.copy()
-    b2[x] |= b2[y]
-    b2[:, x] |= b2[:, y]
+    keep = np.arange(b.shape[0]) != y
+    p2, b2, q2 = p[keep], b[keep][:, keep], q[:, keep]
+    x -= x > y  # x's index once y is gone
+    p2[x] |= p[y]
+    b2[x] |= b[y, keep]
+    b2[:, x] |= b[keep, y]
     b2[x, x] = 0  # edges between the merged pair vanish
-    q2 = q.copy()
-    q2[:, x] |= q2[:, y]
-    keep = [z for z in range(b.shape[0]) if z != y]
-    return p2[keep], b2[np.ix_(keep, keep)], q2[:, keep]
+    q2[:, x] |= q[:, y]
+    return p2, b2, q2
 
 
 def _blocks_valid(p, b, q, supports) -> bool:
@@ -351,12 +340,20 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     the observed nodes survive it.  A latent cycle therefore keeps the walk
     from the observed nodes alive past the latent count, and _blocks_valid
     rejects the merge.
+
+    ``cap`` bounds only each class's initial merge graph (CapExceeded), not
+    the levels after it: a class near the cap can still take minutes and
+    gigabytes, since every level tries all pairs of every frontier network.
     """
     classes = connected_classes(meas)
     per_class: list[list[UnobservedNetwork]] = []
     for cls in classes:
-        meas_c = _restrict(meas, cls)
-        targets = [s.astype(bool) for s in meas_c.supports[1:]]
+        member = np.zeros(meas.n, dtype=bool)
+        member[list(cls)] = True
+        inside = np.outer(member, member)
+        # An all-zero trailing target asks only what the post-support walk
+        # of _blocks_valid checks anyway, so the targets are not trimmed.
+        targets = [s.astype(bool) & inside for s in meas.supports[1:]]
         g0 = init_graph(meas, cls, cap)
         _, *blocks0 = (a.astype(np.int64) for a in g0.adjacency_blocks())
         # canonical key -> (network, its int64 blocks), one merge level each

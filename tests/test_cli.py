@@ -3,7 +3,12 @@ codes.  The dairy and West-German panels are synthetic fixtures simulated from
 hand-built ground-truth models chosen so the estimation stage reproduces the
 expected measurement supports."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +164,94 @@ class TestEstimateCommand:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["estimate", str(tmp_path / "nope.csv")]) == 2
+
+    def test_singular_gamma0_with_priors_exits_3(self, tmp_path, capsys):
+        # a constant series makes lambda_min(gamma(0)) zero, which the prior
+        # bound divides by; this once escaped as a ZeroDivisionError
+        data = np.random.default_rng(0).standard_normal((500, 3))
+        data[:, 2] = 1.5
+        path = tmp_path / "const.csv"
+        cli.write_panel_csv(str(path), lv.TimeSeriesPanel(("a", "b", "c"), data))
+        code = run(["estimate", str(path), "--lag", "2", "--rho12", "0.5",
+                    "--rho22", "0.5", "--sigma-z2-max", "1.0",
+                    "--out-measurements", str(tmp_path / "m.json"),
+                    "--out-report", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "SingularCovariance" in capsys.readouterr().err
+
+
+def reference_write_panel_csv(path, panel):
+    """The per-cell writer that write_panel_csv replaced, kept as its reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(panel.names)
+        for row in panel.data:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def reference_read_cells(path) -> np.ndarray:
+    """The per-cell parse that read_panel_csv replaced, kept as its reference."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return np.array([[float(c) for c in row] for row in rows[1:]], dtype=float)
+
+
+class TestPanelCsvAgainstPerCellReference:
+    def test_write_bytes(self, tmp_path):
+        rng = np.random.default_rng(11)
+        data = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4))
+        data[0] = [-0.0, 5e-324, 1e308, -1e308]
+        data[1] = [0.0, -5e-324, 2.2250738585072014e-308, 0.1]
+        panel = lv.TimeSeriesPanel(("a", "b", "c", "d"), data)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli.write_panel_csv(str(got), panel)
+        reference_write_panel_csv(str(want), panel)
+        assert got.read_bytes() == want.read_bytes()
+        assert cli.read_panel_csv(str(got)).data.tobytes() == data.tobytes()
+
+    def test_read_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(12)
+        formats = ("{!r}", "{:.17g}", "{:.3e}", " {} ", "\t{:.6f}", '"{!r}"')
+        lines = ["a, b ,c", " 1.5 ,1_000,-0.0", "+7,1_0.5e1_0, 5e-324"]
+        for row in (rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-20, 20, (300, 3))).tolist():
+            lines.append(",".join(formats[rng.integers(len(formats))].format(v) for v in row))
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        panel = cli.read_panel_csv(str(path))
+        assert panel.names == ("a", "b", "c")
+        assert panel.data.tobytes() == reference_read_cells(str(path)).tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\n1.0,2.0\n3.0\n",  # ragged
+            "a,b\n1.0,2.0,3.0\n4.0,5.0,6.0\n",  # rows wider than the header
+            "a,b\n1.0,\n",  # empty cell
+            "a,b\n0x10,1.0\n",  # hex is not a float literal
+            "a,b\n1.0,2.0\n\n3.0,4.0\n",  # blank line
+            "a,b\n1.0,nan\n",  # non-finite
+        ],
+    )
+    def test_bad_panels_exit_2(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert run(["estimate", str(path)]) == 2
+
+
+def test_cli_imports_only_stdlib_and_numpy():
+    # numpy is the only runtime dependency, although more is installed
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = (
+        "import sys; base = set(sys.modules); import latentvar.cli; "
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - base}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split()
+    assert "latentvar" in out
+    allowed = set(sys.stdlib_module_names) | {"numpy", "latentvar"}
+    assert sorted(set(out) - allowed) == []
 
 
 class TestRecoverCommand:

@@ -290,6 +290,16 @@ class TestExtractSupport:
         plain = lv.extract_support(rep, alpha=0.05)
         assert plain.max_k == 3 and plain.supports[3].any()
 
+    @pytest.mark.parametrize("lam", [0.0, -1e-17])
+    def test_prior_gate_on_singular_gamma0(self, lam):
+        # lambda_min(gamma(0)) divides the prior bound: zero once raised
+        # ZeroDivisionError, a tiny negative value a math-domain ValueError
+        rep = self._report([np.full((2, 2), 0.5)] * 3, [np.full((2, 2), 0.01)] * 3)
+        rep.gamma0 = np.diag([1.0, lam])
+        priors = lv.BoundPriors(rho12=0.5, rho22=0.5, sigma_z2_max=1.0)
+        with pytest.raises(lv.SingularCovariance, match="lambda_min"):
+            lv.extract_support(rep, priors=priors)
+
     def test_report_records_decisions(self):
         rep = self._report([np.zeros((2, 2))], [np.full((2, 2), 0.1)])
         meas = lv.extract_support(rep, alpha=0.07)
