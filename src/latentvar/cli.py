@@ -21,7 +21,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -184,12 +184,13 @@ def read_panel_csv(path: str) -> TimeSeriesPanel:
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one sample")
     names = [c.strip() for c in rows[0]]
+    for r, row in enumerate(rows[1:], 2):
+        if len(row) != len(names):
+            raise InputError(f"{path}: ragged rows: row {r} has {len(row)} cells, header has {len(names)}")
     try:
         data = np.array(rows[1:], dtype=float)  # parses each cell as float() does
     except ValueError as exc:
         raise InputError(f"{path}: non-numeric cell ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] != len(names):
-        raise InputError(f"{path}: ragged rows")
     try:
         return TimeSeriesPanel(tuple(names), data)
     except ValueError as exc:
@@ -218,6 +219,11 @@ def networks_to_dot(nets: Sequence[mdl.UnobservedNetwork]) -> str:
 # ---------------------------------------------------------------------------
 # config resolution
 
+#: Every key some command reads through _resolve (one file may serve several commands).
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {
+    "n", "m", "p", "q", "p_obs", "a", "sigma_x2", "sigma_z2", "t_len", "burn_in"}
+
+
 def _load_config_file(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
@@ -231,7 +237,10 @@ def _load_config_file(path: str | None) -> dict[str, str]:
                 if "=" not in line:
                     raise InputError(f"{path}:{lineno}: expected key = value")
                 key, val = line.split("=", 1)
-                out[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("-", "_")
+                if key not in _CONFIG_KEYS:
+                    raise InputError(f"{path}:{lineno}: no command reads config key {key!r}")
+                out[key] = val.strip()
     except OSError as exc:
         raise InputError(str(exc)) from exc
     return out

@@ -45,10 +45,6 @@ ORACLE_MAX_N = 6
 ORACLE_MAX_M = 5
 ORACLE_MAX_K = 4
 
-#: Safety valve for the tree-assignment search inside dtr.
-_DTR_SEARCH_LIMIT = 200_000
-
-
 @dataclass(frozen=True)
 class NodeProfile:
     """Latent-path profile of one observed node.
@@ -127,13 +123,17 @@ def unique_parents(profiles: list[NodeProfile]) -> set[int]:
 def dtr(meas: LinearMeasurements) -> UnobservedNetwork:
     """Directed-tree recovery of the unobserved network.
 
-    Creates one latent node per unique observed parent, attaches observed
-    children from S_1, widens the observed parent sets by profile
-    containment, and wires the latent tree itself by trying parent
-    candidates (the exact-depth rule first, then any profile-shift
-    containment, then root) until the rebuilt network reproduces the
-    measurements.  Raises InconsistentRecovery when no wiring does, which
-    signals that the input violates the tree assumptions.
+    Creates one latent z_s per unique observed parent s (an anchor), attaches
+    observed children from S_1, widens observed parent sets by profile
+    containment, and wires the latent tree in one pass.  Anchor k is viable
+    as parent of z_s when k's profile holds s's profile one step longer; z_s
+    gets the first viable k of exact depth (l_k = l_s + 1, r_s within r_k),
+    else the viable k of smallest (l_k, k), else no parent.  Under the tree
+    assumptions the true parent's anchor is viable (each latent path out of
+    z_s extends through it) and has the smallest l_k of z_s's ancestors; no
+    proof excludes other viable anchors, so the rule is checked against the
+    former search over all assignments (``reference_dtr`` in the tests).
+    Raises InconsistentRecovery when the one wiring misses the measurements.
     """
     n = meas.n
     profiles = node_profiles(meas)
@@ -147,18 +147,17 @@ def dtr(meas: LinearMeasurements) -> UnobservedNetwork:
         return empty
 
     latent_id = {s: n + pos for pos, s in enumerate(anchors)}
-    base_edges: set[tuple[int, int]] = set()
+    edges: set[tuple[int, int]] = set()
     s1 = meas.supports[1]
     for s in anchors:
-        base_edges.add((s, latent_id[s]))
+        edges.add((s, latent_id[s]))
         for j in np.flatnonzero(s1[:, s]):
-            base_edges.add((latent_id[s], int(j)))
+            edges.add((latent_id[s], int(j)))
     for i in range(n):
         for s in anchors:
             if prof[s].m_i <= prof[i].m_i:
-                base_edges.add((i, latent_id[s]))
+                edges.add((i, latent_id[s]))
 
-    options: list[list[int | None]] = []
     for s in anchors:
         shifted = {(j, r + 1) for j, r in prof[s].m_i}
         viable = [k for k in anchors if k != s and shifted <= prof[k].m_i]
@@ -167,22 +166,13 @@ def dtr(meas: LinearMeasurements) -> UnobservedNetwork:
             for k in viable
             if prof[k].l_i == prof[s].l_i + 1 and prof[s].r_i <= prof[k].r_i
         ]
-        rest = sorted((k for k in viable if k not in exact), key=lambda k: (prof[k].l_i, k))
-        options.append([*exact, *rest, None])
-
-    tried = 0
-    for assignment in itertools.product(*options):
-        tried += 1
-        if tried > _DTR_SEARCH_LIMIT:
-            raise InconsistentRecovery("tree-assignment search exceeded its limit")
-        edges = set(base_edges)
-        for s, parent in zip(anchors, assignment):
-            if parent is not None:
-                edges.add((latent_id[parent], latent_id[s]))
-        candidate = UnobservedNetwork(meas.names, m, frozenset(edges))
-        if consistent(candidate, meas):
-            return candidate
-    raise InconsistentRecovery("no latent tree reproduces the measurements")
+        if viable:
+            parent = exact[0] if exact else min(viable, key=lambda k: (prof[k].l_i, k))
+            edges.add((latent_id[parent], latent_id[s]))
+    candidate = UnobservedNetwork(meas.names, m, frozenset(edges))
+    if not consistent(candidate, meas):
+        raise InconsistentRecovery("no latent tree reproduces the measurements")
+    return candidate
 
 
 def distance_matrix(meas: LinearMeasurements) -> DistanceMatrix:

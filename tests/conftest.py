@@ -56,10 +56,13 @@ def canon_keys(nets) -> set[bytes]:
     return {lv.canonical_form(g).key for g in nets}
 
 
-def gen_unique_parent_tree(rng: np.random.Generator, n_max: int = 12, m_max: int = 5) -> lv.UnobservedNetwork:
+def gen_unique_parent_tree(
+    rng: np.random.Generator, n_max: int = 12, m_max: int = 5, p_extra: float = 0.15
+) -> lv.UnobservedNetwork:
     """Random network whose latent part is a rooted tree, every latent node
     has a unique observed parent, every latent leaf a unique observed child,
-    plus extra links that keep both uniqueness conditions intact."""
+    plus extra links (each with probability ``p_extra``) that keep both
+    uniqueness conditions intact."""
     m = int(rng.integers(1, m_max + 1))
     n = int(rng.integers(max(m, 2), n_max + 1))
     tree_parent = {z: int(rng.integers(0, z)) for z in range(1, m)}
@@ -82,11 +85,11 @@ def gen_unique_parent_tree(rng: np.random.Generator, n_max: int = 12, m_max: int
     avoid = set(reserved_children.values())
     for i in nonreserved:
         for z in range(m):
-            if rng.random() < 0.15:
+            if rng.random() < p_extra:
                 edges.add((i, n + z))
     for z in range(m):
         for j in range(n):
-            if j not in avoid and rng.random() < 0.15:
+            if j not in avoid and rng.random() < p_extra:
                 edges.add((n + z, j))
     names = tuple(str(i + 1) for i in range(n))
     return lv.UnobservedNetwork(names, m, frozenset(edges))

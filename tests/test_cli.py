@@ -4,8 +4,10 @@ hand-built ground-truth models chosen so the estimation stage reproduces the
 expected measurement supports."""
 
 import csv
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -237,6 +239,21 @@ class TestPanelCsvAgainstPerCellReference:
         path.write_text(text)
         assert run(["estimate", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1.0,2.0\n3.0\n", "row 3 has 1 cells, header has 2"),
+            ("a,b\n1.0,2.0,3.0\n4.0,5.0,6.0\n", "row 2 has 3 cells, header has 2"),
+            ("a,b\n1.0,2.0\n\n3.0,4.0\n", "row 3 has 0 cells, header has 2"),
+        ],
+    )
+    def test_ragged_rows_named(self, tmp_path, capsys, text, message):
+        # numpy once reported these as a non-numeric cell
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert run(["estimate", str(path)]) == 2
+        assert f"ragged rows: {message}" in capsys.readouterr().err
+
 
 def test_cli_imports_only_stdlib_and_numpy():
     # numpy is the only runtime dependency, although more is installed
@@ -442,6 +459,41 @@ class TestConfigResolution:
         cfgfile.write_text("mode dtr\n")
         assert run(["recover", dairy_meas_json, "--config", str(cfgfile),
                     "--out", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize("line, key", [("alpa = 0.5", "alpa"), ("out = x.json", "out")])
+    def test_key_no_command_reads_exits_2(self, tmp_path, capsys, dairy_csv, line, key):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"lag_max = 1\n{line}\n")
+        out = tmp_path / "p.json"
+        assert run(["pipeline", dairy_csv, "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert f"run.cfg:2: no command reads config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_spelling_of_a_key_exits_2(self, tmp_path, capsys):
+        # the --T flag stores t_len; a file must use the stored name
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("T = 2000\n")
+        model = tmp_path / "m.json"
+        assert run(["simulate", "--config", str(cfgfile), "--out-model", str(model),
+                    "--out-panel", str(tmp_path / "p.csv")]) == 2
+        assert "no command reads config key 'T'" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_one_file_serves_simulate_and_estimate(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("n = 3\nm = 1\nt-len = 300\nseed = 5\nlag = 1\nalpha = 0.01\n")
+        panel = tmp_path / "p.csv"
+        assert run(["simulate", "--config", str(cfgfile), "--out-model", str(tmp_path / "m.json"),
+                    "--out-panel", str(panel)]) == 0
+        assert len(panel.read_text().splitlines()) == 301
+        report = tmp_path / "r.json"
+        assert run(["estimate", str(panel), "--config", str(cfgfile), "--out-report", str(report),
+                    "--out-measurements", str(tmp_path / "meas.json")]) == 0
+        obj = json.loads(report.read_text())
+        assert (obj["lag"], obj["alpha"]) == (1, 0.01)
+
+    def test_config_keys_are_the_resolved_keys(self):
+        assert set(re.findall(r'_resolve\(args, "(\w+)"', inspect.getsource(cli))) == cli._CONFIG_KEYS
 
     def test_bad_mode_exits_2(self, tmp_path, dairy_meas_json):
         cfgfile = tmp_path / "run.cfg"

@@ -2,11 +2,15 @@
 tree route, and the exhaustive oracle."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
 import latentvar as lv
+from latentvar.errors import InconsistentRecovery
+from latentvar.model import UnobservedNetwork, consistent
+from latentvar.recover import _unique_parents_ordered, node_profiles
 from conftest import (
     canon_keys,
     gen_degree_tree,
@@ -115,6 +119,138 @@ class TestDtr:
         # the ambiguous measurements admit no unique-parent tree
         with pytest.raises(lv.InconsistentRecovery):
             lv.dtr(ambig_meas)
+
+
+#: Safety valve for the tree-assignment search inside reference_dtr.
+_DTR_SEARCH_LIMIT = 200_000
+
+
+def reference_dtr(meas):
+    """``dtr`` as it was when it searched every parent assignment (the
+    exact-depth candidates, then the other viable ones by (l_i, index), then
+    root, for each anchor) and returned the first consistent one.  Kept as
+    the reference for the one-pass wiring; its body is unchanged."""
+    n = meas.n
+    profiles = node_profiles(meas)
+    prof = {p.node: p for p in profiles}
+    anchors = _unique_parents_ordered(profiles)
+    m = len(anchors)
+    empty = UnobservedNetwork(meas.names, 0, frozenset())
+    if m == 0:
+        if meas.has_latent_paths():
+            raise InconsistentRecovery("measurements carry latent paths but no unique parent was found")
+        return empty
+
+    latent_id = {s: n + pos for pos, s in enumerate(anchors)}
+    base_edges: set[tuple[int, int]] = set()
+    s1 = meas.supports[1]
+    for s in anchors:
+        base_edges.add((s, latent_id[s]))
+        for j in np.flatnonzero(s1[:, s]):
+            base_edges.add((latent_id[s], int(j)))
+    for i in range(n):
+        for s in anchors:
+            if prof[s].m_i <= prof[i].m_i:
+                base_edges.add((i, latent_id[s]))
+
+    options: list[list[int | None]] = []
+    for s in anchors:
+        shifted = {(j, r + 1) for j, r in prof[s].m_i}
+        viable = [k for k in anchors if k != s and shifted <= prof[k].m_i]
+        exact = [
+            k
+            for k in viable
+            if prof[k].l_i == prof[s].l_i + 1 and prof[s].r_i <= prof[k].r_i
+        ]
+        rest = sorted((k for k in viable if k not in exact), key=lambda k: (prof[k].l_i, k))
+        options.append([*exact, *rest, None])
+
+    tried = 0
+    for assignment in itertools.product(*options):
+        tried += 1
+        if tried > _DTR_SEARCH_LIMIT:
+            raise InconsistentRecovery("tree-assignment search exceeded its limit")
+        edges = set(base_edges)
+        for s, parent in zip(anchors, assignment):
+            if parent is not None:
+                edges.add((latent_id[parent], latent_id[s]))
+        candidate = UnobservedNetwork(meas.names, m, frozenset(edges))
+        if consistent(candidate, meas):
+            return candidate
+    raise InconsistentRecovery("no latent tree reproduces the measurements")
+
+
+def flip_one_entry(rng, meas):
+    """The measurements with one random entry of one random S_k (k >= 1)
+    flipped; None when that leaves no latent path."""
+    supports = [s.copy() for s in meas.supports]
+    k = int(rng.integers(1, len(supports)))
+    i, j = (int(v) for v in rng.integers(0, meas.n, size=2))
+    supports[k][i, j] ^= 1
+    out = lv.LinearMeasurements(meas.n, supports, meas.names)
+    return out if out.has_latent_paths() else None
+
+
+def dtr_comparison_inputs(scale):
+    """Seeded measurements for comparing dtr with reference_dtr; ``scale``
+    multiplies the count of each family (1 gives 56 inputs)."""
+    rng = np.random.default_rng(11)
+    for n_max, m_max, count in ((12, 5, 3), (20, 12, 2), (30, 20, 1)):
+        for _ in range(count * scale):
+            yield lv.complete_census(gen_unique_parent_tree(rng, n_max, m_max))
+    rng = np.random.default_rng(12)
+    for _ in range(30 * scale):
+        got = gen_single_path_instance(rng, n_max=6, init_cap=30)
+        if got is not None:
+            yield got[1]
+    rng = np.random.default_rng(99)
+    for i in range(12 * scale):
+        yield lv.complete_census(gen_unique_parent_tree(rng, p_extra=(0.3, 0.5)[i % 2]))
+    for _ in range(8 * scale):
+        got = flip_one_entry(rng, lv.complete_census(gen_unique_parent_tree(rng)))
+        if got is not None:
+            yield got
+
+
+def dtr_outcome(fn, meas):
+    """Canonical key of fn's network, or the type of the error it raised."""
+    try:
+        return lv.canonical_form(fn(meas)).key
+    except lv.LatentVarError as exc:
+        return type(exc)
+
+
+class TestDtrMatchesSearch:
+    def test_same_network_or_error_as_the_search(self):
+        outcomes = [
+            (dtr_outcome(lv.dtr, meas), dtr_outcome(reference_dtr, meas))
+            for meas in dtr_comparison_inputs(scale=30)
+        ]
+        assert len(outcomes) > 1600
+        assert all(got == want for got, want in outcomes)
+        # both kinds of outcome are exercised
+        assert any(isinstance(got, bytes) for got, _ in outcomes)
+        assert InconsistentRecovery in {got for got, _ in outcomes}
+
+    def test_consistency_checked_once(self, monkeypatch):
+        # node 1 reaches 0 in two steps, node 0 reaches 0 and 1 in three: the
+        # search tries two wirings before giving up, dtr checks its one wiring
+        meas = meas_from_entries(2, [(1, 1, 0), (2, 0, 0), (2, 0, 1)])
+        calls = []
+
+        def counting(g, meas):
+            calls.append(g)
+            return lv.consistent(g, meas)
+
+        monkeypatch.setattr(sys.modules[__name__], "consistent", counting)
+        with pytest.raises(InconsistentRecovery):
+            reference_dtr(meas)
+        assert len(calls) == 2
+        calls.clear()
+        monkeypatch.setattr("latentvar.recover.consistent", counting)
+        with pytest.raises(InconsistentRecovery):
+            lv.dtr(meas)
+        assert len(calls) == 1
 
 
 class TestDistanceMatrix:
