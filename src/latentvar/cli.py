@@ -7,7 +7,7 @@ File formats
 * measurements JSON: ``{"n": int, "names": [...], "supports": [S_0, S_1, ...]}``
   with each S_k a row-major 0/1 matrix.
 * network JSON: ``{"observed": [names], "latent_count": m, "edges": [[src, dst], ...]}``
-  where latent nodes are called "L0" .. "L{m-1}".
+  where latent nodes are called "L0" .. "L{m-1}", never an observed name.
 * model JSON: the four blocks plus noise variances.
 
 Exit codes: 0 ok, 2 input error, 3 algorithmic failure (condition named on
@@ -75,15 +75,23 @@ def measurements_to_json(meas: mdl.LinearMeasurements) -> dict:
     }
 
 
+def _unique_names(names: Sequence[str], where: str) -> None:
+    dup = next((s for i, s in enumerate(names) if s in names[:i]), None)
+    if dup is not None:
+        raise InputError(f"{where}: duplicate series name {dup!r}")
+
+
 def measurements_from_json(obj: dict) -> mdl.LinearMeasurements:
     try:
-        return mdl.LinearMeasurements(
+        meas = mdl.LinearMeasurements(
             int(obj["n"]),
             [np.asarray(s) for s in obj["supports"]],
             obj.get("names"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad measurements JSON: {exc}") from exc
+    _unique_names(meas.names, "bad measurements JSON")
+    return meas
 
 
 def network_to_json(net: mdl.UnobservedNetwork) -> dict:
@@ -98,11 +106,11 @@ def network_from_json(obj: dict) -> mdl.UnobservedNetwork:
     try:
         observed = [str(x) for x in obj["observed"]]
         m = int(obj["latent_count"])
+        _unique_names(observed, "bad network JSON")
         index = {name: i for i, name in enumerate(observed)}
-        if len(index) != len(observed):
-            raise ValueError("observed names must be unique")
         for i in range(m):
-            index[f"L{i}"] = len(observed) + i
+            if index.setdefault(f"L{i}", len(observed) + i) != len(observed) + i:
+                raise ValueError(f"observed name 'L{i}' is also a latent label")
         edges = {(index[str(u)], index[str(v)]) for u, v in obj["edges"]}
         return mdl.UnobservedNetwork(tuple(observed), m, frozenset(edges))
     except (KeyError, TypeError, ValueError) as exc:
@@ -184,6 +192,7 @@ def read_panel_csv(path: str) -> TimeSeriesPanel:
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one sample")
     names = [c.strip() for c in rows[0]]
+    _unique_names(names, path)
     for r, row in enumerate(rows[1:], 2):
         if len(row) != len(names):
             raise InputError(f"{path}: ragged rows: row {r} has {len(row)} cells, header has {len(names)}")
@@ -351,6 +360,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _recover_networks(meas: mdl.LinearMeasurements, cfg: RunConfig) -> list[mdl.UnobservedNetwork]:
+    if clash := [s for s in meas.names if s[1:].isdecimal() and s == f"L{int(s[1:])}"]:
+        raise InputError(f"observed name {clash[0]!r} has the form L<k> of a latent label")
     if cfg.mode == "dtr":
         return [rec.dtr(meas)]
     if cfg.mode == "tree":

@@ -226,15 +226,8 @@ def init_graph(meas: LinearMeasurements, cls: frozenset[int], cap: int = DEFAULT
     """
     n = meas.n
     members = sorted(cls)
-    needed = 0
-    ones = []
-    for k in range(1, meas.max_k + 1):
-        s = meas.supports[k]
-        for i in members:
-            for j in members:
-                if s[j, i]:
-                    ones.append((k, i, j))
-                    needed += k
+    ones = [(k, i, j) for k in range(1, meas.max_k + 1) for i in members for j in members if meas.supports[k][j, i]]
+    needed = sum(k for k, _, _ in ones)
     if needed > cap:
         raise CapExceeded(f"initial graph needs {needed} latent nodes, cap is {cap}")
     edges: set[tuple[int, int]] = set()
@@ -301,6 +294,13 @@ def _blocks_valid(p, b, q, supports) -> bool:
     return not reach.any()
 
 
+def _screened_pairs(p, q) -> list[list[int]]:
+    """Latent pairs x < y, in combinations order, whose merge adds no length-2 path (see nm)."""
+    sp, sq = p.sum(1), q.sum(0)
+    new = np.outer(sp, sq) - sp[:, None] * (q.T @ q) - (p @ p.T) * sq
+    return np.argwhere(np.triu((new == 0) & (new.T == 0), 1)).tolist()
+
+
 def _disjoint_union(names: tuple[str, ...], nets: tuple[UnobservedNetwork, ...]) -> UnobservedNetwork:
     n = len(names)
     edges: set[tuple[int, int]] = set()
@@ -331,9 +331,18 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     from the observed nodes alive past the latent count, and _blocks_valid
     rejects the merge.
 
+    Two shortcuts skip only merges that cannot change a level.  A valid
+    frontier network makes no length-2 path twice, so new[x, y] in
+    _screened_pairs counts exactly the paths parent(x) -> z -> child(y) that
+    neither x nor y makes, and _blocks_valid rejects a merge adding one.  A
+    merge's labelled result depends only on the partition of the initial
+    latents (_merge_blocks keeps latents ordered by their smallest member),
+    so a partition is merged once per level: a repeat's result is invalid
+    or already in the level.
+
     ``cap`` bounds only each class's initial merge graph (CapExceeded), not
-    the levels after it: a class near the cap can still take minutes and
-    gigabytes, since every level tries all pairs of every frontier network.
+    the levels after it: the 31-latent class of ``simulate --n 10 --m 5
+    --a 0.3 --seed 3`` still runs out of a 2 GB memory limit within a minute.
     """
     classes = connected_classes(meas)
     per_class: list[list[UnobservedNetwork]] = []
@@ -346,17 +355,21 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
         targets = [s.astype(bool) & inside for s in meas.supports[1:]]
         g0 = init_graph(meas, cls, cap)
         _, *blocks0 = (a.astype(np.int64) for a in g0.adjacency_blocks())
-        # canonical key -> (network, its int64 blocks), one merge level each
-        frontier = {canonical_form(g0).key: (g0, blocks0)}
+        # canonical key -> (network, int64 blocks, index of each initial latent)
+        frontier = {canonical_form(g0).key: (g0, blocks0, tuple(range(g0.latent_count)))}
         while True:
             nxt: dict[bytes, tuple] = {}
-            for _, (p, b, q) in frontier.values():
-                for x, y in itertools.combinations(range(b.shape[0]), 2):
+            seen: set[tuple[int, ...]] = set()  # partitions merged this level
+            for _, (p, b, q), part in frontier.values():
+                for x, y in _screened_pairs(p, q):
+                    if (merged_part := tuple(x if t == y else t - (t > y) for t in part)) in seen:
+                        continue
+                    seen.add(merged_part)
                     merged = _merge_blocks(p, b, q, x, y)
                     if not _blocks_valid(*merged, targets):
                         continue
                     g = UnobservedNetwork.from_blocks(meas.names, *merged)
-                    nxt.setdefault(canonical_form(g).key, (g, merged))
+                    nxt.setdefault(canonical_form(g).key, (g, merged, merged_part))
             if not nxt:
                 break
             frontier = nxt

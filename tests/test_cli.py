@@ -424,6 +424,70 @@ class TestSerializationRoundTrips:
         assert names == ("x1", "x2", "x3")
 
 
+class TestObservedNames:
+    """Observed names must round-trip through network JSON: no duplicates,
+    and none that reads as a latent label L<k>."""
+
+    def test_duplicate_panel_names_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a\n1,2\n3,4\n1,2\n2,1\n")
+        code = run(["estimate", str(path), "--lag", "1",
+                    "--out-measurements", str(tmp_path / "m.json"),
+                    "--out-report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "duplicate series name 'a'" in capsys.readouterr().err
+
+    def test_duplicate_measurement_names_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        cli.write_json(str(path), {"n": 2, "names": ["b", "b"], "supports": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]})
+        assert run(["recover", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert "duplicate series name 'b'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["dtr", "nm", "tree"])
+    def test_latent_label_name_exits_2_in_recover(self, tmp_path, capsys, ambig_meas, mode):
+        path = tmp_path / "meas.json"
+        obj = cli.measurements_to_json(ambig_meas)
+        obj["names"][1] = "L0"
+        cli.write_json(str(path), obj)
+        assert run(["recover", str(path), "--mode", mode, "--out", str(tmp_path / "o.json")]) == 2
+        assert "'L0'" in capsys.readouterr().err
+
+    def test_latent_label_name_exits_2_in_pipeline(self, tmp_path, capsys, dairy_csv):
+        path = tmp_path / "l3.csv"
+        lines = Path(dairy_csv).read_text().splitlines(keepends=True)
+        path.write_text("L3,cheese\n" + "".join(lines[1:]))
+        assert run(["pipeline", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert "'L3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["L01", "L", "Lx", "l0", "L0 "])
+    def test_other_names_are_accepted(self, tmp_path, dairy_meas, name):
+        path = tmp_path / "meas.json"
+        obj = cli.measurements_to_json(dairy_meas)
+        obj["names"][0] = name
+        cli.write_json(str(path), obj)
+        out = tmp_path / "o.json"
+        assert run(["recover", str(path), "--out", str(out)]) == 0
+        assert cli.network_from_json(json.loads(out.read_text())).observed[0] == name
+
+    def test_network_json_rejects_observed_latent_label(self, tmp_path, capsys):
+        # read naively, "L0" would silently become the latent and x its parent
+        obj = {"observed": ["L0", "x"], "latent_count": 1, "edges": [["x", "L0"]]}
+        with pytest.raises(cli.InputError, match="'L0' is also a latent label"):
+            cli.network_from_json(obj)
+        path = tmp_path / "net.json"
+        cli.write_json(str(path), obj)
+        assert run(["census", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        # an observed name past the latent labels is no clash
+        net = cli.network_from_json({"observed": ["L1", "x"], "latent_count": 1, "edges": [["x", "L0"], ["L0", "L1"]]})
+        assert net.edges == frozenset({(1, 2), (2, 0)})
+
+    def test_non_square_supports_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "meas.json"
+        cli.write_json(str(path), {"n": 2, "supports": [[[0, 0], [0, 0]], [[0, 1, 0], [0, 0, 0]]]})
+        assert run(["recover", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert "S_1 must be 2x2" in capsys.readouterr().err
+
+
 class TestConfigResolution:
     def test_config_file_supplies_values(self, tmp_path, dairy_meas_json):
         cfgfile = tmp_path / "run.cfg"

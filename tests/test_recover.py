@@ -10,7 +10,18 @@ import pytest
 import latentvar as lv
 from latentvar.errors import InconsistentRecovery
 from latentvar.model import UnobservedNetwork, consistent
-from latentvar.recover import _unique_parents_ordered, node_profiles
+from latentvar.recover import (
+    DEFAULT_CAP,
+    _blocks_valid,
+    _disjoint_union,
+    _merge_blocks,
+    _screened_pairs,
+    _unique_parents_ordered,
+    canonical_form,
+    connected_classes,
+    init_graph,
+    node_profiles,
+)
 from conftest import (
     canon_keys,
     gen_degree_tree,
@@ -457,6 +468,177 @@ class TestNm:
         for g in nets:
             assert lv.consistent(g, meas)
             assert g.latent_subgraph_is_dag()
+
+
+def reference_nm(meas, cap=DEFAULT_CAP):
+    """``nm`` as it was when every level tried every latent pair of every
+    frontier network and merged each one.  Kept as the reference for the
+    length-2 screen and the partition memo; its body is unchanged."""
+    classes = connected_classes(meas)
+    per_class: list[list[UnobservedNetwork]] = []
+    for cls in classes:
+        member = np.zeros(meas.n, dtype=bool)
+        member[list(cls)] = True
+        inside = np.outer(member, member)
+        # An all-zero trailing target asks only what the post-support walk
+        # of _blocks_valid checks anyway, so the targets are not trimmed.
+        targets = [s.astype(bool) & inside for s in meas.supports[1:]]
+        g0 = init_graph(meas, cls, cap)
+        _, *blocks0 = (a.astype(np.int64) for a in g0.adjacency_blocks())
+        # canonical key -> (network, its int64 blocks), one merge level each
+        frontier = {canonical_form(g0).key: (g0, blocks0)}
+        while True:
+            nxt: dict[bytes, tuple] = {}
+            for _, (p, b, q) in frontier.values():
+                for x, y in itertools.combinations(range(b.shape[0]), 2):
+                    merged = _merge_blocks(p, b, q, x, y)
+                    if not _blocks_valid(*merged, targets):
+                        continue
+                    g = UnobservedNetwork.from_blocks(meas.names, *merged)
+                    nxt.setdefault(canonical_form(g).key, (g, merged))
+            if not nxt:
+                break
+            frontier = nxt
+        per_class.append([frontier[key][0] for key in sorted(frontier)])
+    if not per_class:
+        return [UnobservedNetwork(meas.names, 0, frozenset())]
+    combos = {}
+    for choice in itertools.product(*per_class):
+        g = _disjoint_union(meas.names, choice)
+        combos[canonical_form(g).key] = g
+    return [g for _, g in sorted(combos.items())]
+
+
+def catalogue_stream(rng):
+    """Endless stream of latent-DAG networks with one latent path per length
+    and ordered pair, K <= 4 and 9-10 initial merge latents; the draws of
+    the benchmark's nm-search catalogue when ``rng`` is default_rng(2017)."""
+    while True:
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, 6))
+        order = rng.permutation(m)
+        pos = np.empty(m, dtype=int)
+        pos[order] = np.arange(m)
+        edges = set()
+        for z1 in range(m):
+            for z2 in range(m):
+                if pos[z1] < pos[z2] and rng.random() < 0.3:
+                    edges.add((n + z1, n + z2))
+        for i in range(n):
+            for z in range(m):
+                if rng.random() < 0.3:
+                    edges.add((i, n + z))
+                if rng.random() < 0.3:
+                    edges.add((n + z, i))
+        net = UnobservedNetwork(tuple(str(i + 1) for i in range(n)), m, frozenset(edges))
+        if not lv.single_path_per_length(net):
+            continue
+        meas = lv.complete_census(net)
+        init = sum(k * int(s.sum()) for k, s in enumerate(meas.supports))
+        if 1 <= meas.max_k <= 4 and 9 <= init <= 10:
+            yield meas
+
+
+def side_by_side(a, b):
+    """Measurements of two networks on disjoint observed nodes (two classes)."""
+    fa = lambda v: v + b.n * (v >= a.n)  # noqa: E731
+    fb = lambda v: v + a.n + a.latent_count * (v >= b.n)  # noqa: E731
+    edges = {(fa(u), fa(v)) for u, v in a.edges} | {(fb(u), fb(v)) for u, v in b.edges}
+    names = tuple(str(i + 1) for i in range(a.n + b.n))
+    return lv.complete_census(UnobservedNetwork(names, a.latent_count + b.latent_count, frozenset(edges)))
+
+
+def nm_comparison_inputs(draws, stream, unions):
+    """Seeded measurements for comparing nm with reference_nm."""
+    rng = np.random.default_rng(35)
+    singles = [got for got in (gen_single_path_instance(rng, n_max=6, init_cap=12) for _ in range(draws)) if got]
+    yield from (meas for _, meas in singles)
+    yield from itertools.islice(catalogue_stream(np.random.default_rng(2017)), stream)
+    for (a, _), (b, _) in zip(singles[:unions], singles[unions: 2 * unions]):
+        yield side_by_side(a, b)
+
+
+class TestNmMatchesReference:
+    def test_same_networks_in_the_same_order(self):
+        compared = 0
+        for meas in nm_comparison_inputs(draws=50, stream=4, unions=5):
+            got, want = lv.nm(meas), reference_nm(meas)
+            assert [lv.canonical_form(g).key for g in got] == [lv.canonical_form(g).key for g in want]
+            assert got == want
+            compared += 1
+        assert compared > 50
+
+
+def merged_partition(part, x, y):
+    """Current index of each initial latent after y is folded into x."""
+    return tuple(x if t == y else t - (t > y) for t in part)
+
+
+class TestMergeScreen:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_screen_admits_exactly_the_length2_valid_merges(self, seed):
+        # first two levels: every pair, screened or not, against q2 @ p2
+        rng = np.random.default_rng(7000 + seed)
+        verdicts = []
+        while len(verdicts) < 3000:
+            got = gen_single_path_instance(rng, n_max=6, init_cap=12)
+            if got is None:
+                continue
+            meas = got[1]
+            for cls in connected_classes(meas):
+                inside = np.zeros(meas.n, dtype=bool)
+                inside[list(cls)] = True
+                targets = [s.astype(bool) & np.outer(inside, inside) for s in meas.supports[1:]]
+                _, *blocks = (a.astype(np.int64) for a in init_graph(meas, cls).adjacency_blocks())
+                frontier = [blocks]
+                for _level in range(2):
+                    nxt = []
+                    for p, b, q in frontier:
+                        screened = {tuple(xy) for xy in _screened_pairs(p, q)}
+                        for x, y in itertools.combinations(range(b.shape[0]), 2):
+                            merged = _merge_blocks(p, b, q, x, y)
+                            cnt = merged[2] @ merged[0]
+                            exact = (cnt <= 1).all() and np.array_equal(cnt > 0, targets[0])
+                            assert ((x, y) in screened) == exact
+                            verdicts.append(exact)
+                            if _blocks_valid(*merged, targets):
+                                nxt.append(merged)
+                    frontier = nxt
+        assert any(verdicts) and not all(verdicts)
+
+    def test_screened_pairs_in_combinations_order(self):
+        p = np.zeros((5, 1), dtype=np.int64)
+        q = np.zeros((1, 5), dtype=np.int64)
+        assert _screened_pairs(p, q) == [list(xy) for xy in itertools.combinations(range(5), 2)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_partition_merged_in_any_order_gives_the_same_blocks(self, seed):
+        # nm merges each partition of the initial latents once per level
+        rng = np.random.default_rng(8000 + seed)
+        for _ in range(20):
+            got = gen_single_path_instance(rng, n_max=6, init_cap=12)
+            if got is None:
+                continue
+            meas = got[1]
+            _, *blocks0 = (a.astype(np.int64) for a in init_graph(meas, frozenset(range(meas.n)), 12).adjacency_blocks())
+            m0 = blocks0[1].shape[0]
+            label = rng.integers(0, max(1, m0 // 2), size=m0)
+            same = [(a, c) for a, c in itertools.combinations(range(m0), 2) if label[a] == label[c]]
+            results = []
+            merges = 0
+            for _order in range(2):
+                blocks, part = blocks0, tuple(range(m0))
+                for a, c in (same[i] for i in rng.permutation(len(same))):
+                    x, y = sorted((part[a], part[c]))
+                    if x != y:
+                        blocks, part = _merge_blocks(*blocks, x, y), merged_partition(part, x, y)
+                        merges += 1
+                results.append((part, [blk.tobytes() for blk in blocks], [blk.shape for blk in blocks]))
+            assert results[0] == results[1]
+            # latents stay ordered by their smallest member
+            firsts = sorted({int(np.flatnonzero(label == lab)[0]) for lab in label})
+            assert part == tuple(firsts.index(int(np.flatnonzero(label == label[t])[0])) for t in range(m0))
+            assert merges == 2 * (m0 - len(set(label.tolist())))
 
 
 class TestOracleMinimal:
