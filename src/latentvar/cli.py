@@ -47,17 +47,14 @@ class RunConfig:
     rho12: float | None = None
     rho22: float | None = None
     sigma_z2_max: float | None = None
-    a_min: tuple[float, ...] | None = None
 
     def priors(self) -> est.BoundPriors | None:
         given = [self.rho12, self.rho22, self.sigma_z2_max]
-        if all(v is None for v in given) and self.a_min is None:
+        if all(v is None for v in given):
             return None
         if any(v is None for v in given):
             raise ValueError("--rho12, --rho22 and --sigma-z2-max must be given together")
-        return est.BoundPriors(
-            self.rho12, self.rho22, self.sigma_z2_max, self.a_min or (0.0,)
-        )
+        return est.BoundPriors(self.rho12, self.rho22, self.sigma_z2_max)
 
 
 class InputError(Exception):
@@ -279,10 +276,6 @@ def _default_seed() -> int:
         raise InputError(f"LVL_SEED must be an integer, got {env!r}") from exc
 
 
-def _parse_a_min(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
-
-
 def _run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         seed=_resolve(args, "seed", int, _default_seed()),
@@ -295,7 +288,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         rho12=_resolve(args, "rho12", float, None),
         rho22=_resolve(args, "rho22", float, None),
         sigma_z2_max=_resolve(args, "sigma_z2_max", float, None),
-        a_min=_resolve(args, "a_min", _parse_a_min, None),
     )
     if not 0.0 < cfg.alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
@@ -425,7 +417,6 @@ def _add_estimation_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rho12", type=float, help="prior bound on the latent-to-observed norm")
     sub.add_argument("--rho22", type=float, help="prior bound (< 1) on the latent-block norm")
     sub.add_argument("--sigma-z2-max", dest="sigma_z2_max", type=float, help="prior bound on the latent noise variance")
-    sub.add_argument("--a-min", dest="a_min", type=_parse_a_min, help="comma list of per-lag minimum magnitudes")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -316,13 +316,23 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     """Node-merging search for all minimal consistent unobserved networks.
 
     Per connected class: start from the private-path graph and, level by
-    level, collect every valid merge of the previous level (canonical-form
-    deduplicated); the last non-empty level holds that class's minimal
-    networks.  The search stays inside the single-path-per-length universe
-    the merge operation lives in: a merge result with duplicated same-length
-    paths is dropped (splitting such a node back would not reproduce the
-    private-path graph, so no minimal in-universe network is lost).  Classes
-    combine by disjoint union; output is sorted by canonical key.
+    level, collect every valid merge of the previous level, keyed by the
+    partition of the class's initial latents (it alone fixes a merge's
+    labelled result, as _merge_blocks keeps latents ordered by their smallest
+    member, so each partition is merged once per level).  The last non-empty
+    level holds the class's minimal networks; only they are built, and
+    deduplicated by canonical key keeping the first of each isomorphism
+    class.  By induction over levels a per-level dedup returns the same:
+    isomorphic partitions have isomorphic screened, valid successors, and a
+    partition it drops comes after the kept member of its class, so every
+    class it reaches that member reached first.  So at every level the first
+    partition of each class is the one it keeps, in the same class order;
+    isomorphic partitions meeting in one level change only the work.  The
+    search stays inside the single-path-per-length universe the merge
+    operation lives in: a merge result with duplicated same-length paths is
+    dropped (splitting such a node back would not reproduce the private-path
+    graph, so no minimal in-universe network is lost).  Classes combine by
+    disjoint union; output is sorted by canonical key.
 
     No separate acyclicity test is needed.  Every latent of a merge graph
     lies on a path from an observed node: init_graph builds chains that start
@@ -331,14 +341,10 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     from the observed nodes alive past the latent count, and _blocks_valid
     rejects the merge.
 
-    Two shortcuts skip only merges that cannot change a level.  A valid
+    The pair screen skips only merges that cannot be valid: a valid
     frontier network makes no length-2 path twice, so new[x, y] in
     _screened_pairs counts exactly the paths parent(x) -> z -> child(y) that
-    neither x nor y makes, and _blocks_valid rejects a merge adding one.  A
-    merge's labelled result depends only on the partition of the initial
-    latents (_merge_blocks keeps latents ordered by their smallest member),
-    so a partition is merged once per level: a repeat's result is invalid
-    or already in the level.
+    neither x nor y makes, and _blocks_valid rejects a merge adding one.
 
     ``cap`` bounds only each class's initial merge graph (CapExceeded), not
     the levels after it: the 31-latent class of ``simulate --n 10 --m 5
@@ -355,25 +361,25 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
         targets = [s.astype(bool) & inside for s in meas.supports[1:]]
         g0 = init_graph(meas, cls, cap)
         _, *blocks0 = (a.astype(np.int64) for a in g0.adjacency_blocks())
-        # canonical key -> (network, int64 blocks, index of each initial latent)
-        frontier = {canonical_form(g0).key: (g0, blocks0, tuple(range(g0.latent_count)))}
+        # index of each initial latent -> int64 blocks
+        frontier = {tuple(range(g0.latent_count)): blocks0}
         while True:
-            nxt: dict[bytes, tuple] = {}
+            nxt: dict[tuple[int, ...], tuple] = {}
             seen: set[tuple[int, ...]] = set()  # partitions merged this level
-            for _, (p, b, q), part in frontier.values():
+            for part, (p, b, q) in frontier.items():
                 for x, y in _screened_pairs(p, q):
                     if (merged_part := tuple(x if t == y else t - (t > y) for t in part)) in seen:
                         continue
                     seen.add(merged_part)
                     merged = _merge_blocks(p, b, q, x, y)
-                    if not _blocks_valid(*merged, targets):
-                        continue
-                    g = UnobservedNetwork.from_blocks(meas.names, *merged)
-                    nxt.setdefault(canonical_form(g).key, (g, merged, merged_part))
+                    if _blocks_valid(*merged, targets):
+                        nxt[merged_part] = merged
             if not nxt:
                 break
             frontier = nxt
-        per_class.append([frontier[key][0] for key in sorted(frontier)])
+        nets = [UnobservedNetwork.from_blocks(meas.names, *blocks) for blocks in frontier.values()]
+        firsts = {canonical_form(g).key: g for g in reversed(nets)}
+        per_class.append([firsts[key] for key in sorted(firsts)])
     if not per_class:
         return [UnobservedNetwork(meas.names, 0, frozenset())]
     combos = {}

@@ -18,6 +18,9 @@ DEFAULT_BURN_IN = 500
 #: Spectral radius that generated models are rescaled to when unstable.
 STABLE_RADIUS = 0.95
 
+#: Largest entry of the last doubling increment in population_covariance.
+LYAPUNOV_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DrgConfig:
@@ -156,23 +159,23 @@ def simulate(
     return TimeSeriesPanel(tuple(names), out[burn_in:])
 
 
-def population_covariance(model: LatentVarModel, tol: float = 1e-12) -> np.ndarray:
+def population_covariance(model: LatentVarModel) -> np.ndarray:
     """Stationary covariance of the joint state.
 
-    Solves the discrete Lyapunov fixed point Gamma = A Gamma A^T + Sigma by
-    iterating the map until the largest entry change drops below ``tol``.
+    Solves Gamma = A Gamma A^T + Sigma by Smith's (1968) doubling, S <- S +
+    A S A^T then A <- A^2, so S sums 2^k terms A^j Sigma A^jT after k steps;
+    it stops once an increment's largest entry is below LYAPUNOV_TOL.
     """
     if not model.stationary:
         raise NonStationary(f"spectral radius {model.spectral_radius():.4f} >= 1")
     full = model.blocks.full()
-    sigma = model.noise_cov()
-    gamma = sigma.copy()
-    for _ in range(1_000_000):
-        nxt = full @ gamma @ full.T + sigma
-        delta = float(np.max(np.abs(nxt - gamma))) if gamma.size else 0.0
-        gamma = nxt
-        if delta < tol:
+    gamma = model.noise_cov()
+    for _ in range(64):  # up to 2^64 terms of the series
+        step = full @ gamma @ full.T
+        gamma = gamma + step
+        if not step.size or np.abs(step).max() < LYAPUNOV_TOL:
             return gamma
+        full = full @ full
     raise NonStationary("Lyapunov iteration failed to converge")
 
 

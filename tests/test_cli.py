@@ -533,6 +533,19 @@ class TestConfigResolution:
         assert f"run.cfg:2: no command reads config key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_min_is_not_an_option(self, tmp_path, capsys, dairy_csv):
+        # no command path reads a per-lag minimum magnitude
+        out = tmp_path / "p.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["pipeline", dairy_csv, "--a-min", "0.1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--a-min" in capsys.readouterr().err
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("a_min = 0.1\n")
+        assert run(["pipeline", dairy_csv, "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert "run.cfg:1: no command reads config key 'a_min'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flag_spelling_of_a_key_exits_2(self, tmp_path, capsys):
         # the --T flag stores t_len; a file must use the stored name
         cfgfile = tmp_path / "run.cfg"

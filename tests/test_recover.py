@@ -569,6 +569,20 @@ class TestNmMatchesReference:
         assert compared > 50
 
 
+class TestNmKeysOnlyItsOutput:
+    # one class: a key per last-level network, then one per disjoint union
+    @pytest.mark.parametrize("source", ["ambiguous", "catalogue"])
+    def test_two_canonical_forms_per_returned_network(self, source, ambig_meas, monkeypatch):
+        meas = ambig_meas if source == "ambiguous" else next(catalogue_stream(np.random.default_rng(2017)))
+        assert len(connected_classes(meas)) == 1
+        calls = []
+        monkeypatch.setattr("latentvar.recover.canonical_form", lambda g: calls.append(g) or canonical_form(g))
+        nets = lv.nm(meas)
+        assert len(calls) == 2 * len(nets)
+        if source == "ambiguous":
+            assert len(calls) == 4
+
+
 def merged_partition(part, x, y):
     """Current index of each initial latent after y is folded into x."""
     return tuple(x if t == y else t - (t > y) for t in part)

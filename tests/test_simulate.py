@@ -98,6 +98,12 @@ class TestPopulationCovariance:
         gamma = lv.population_covariance(scalar_ar1())
         assert abs(gamma[0, 0] - 1 / (1 - 0.25)) < 1e-9
 
+    def test_near_unit_root(self):
+        # the plain fixed-point iteration needs ~1.4M steps here
+        a = 0.99999
+        gamma = lv.population_covariance(scalar_ar1(a))
+        assert gamma[0, 0] == pytest.approx(1 / (1 - a**2), rel=1e-9)
+
     def test_symmetric_positive_definite(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
