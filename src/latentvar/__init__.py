@@ -48,7 +48,6 @@ from .model import (
 )
 from .recover import (
     DEFAULT_CAP,
-    DistanceMatrix,
     NodeProfile,
     check,
     connected_classes,

@@ -91,11 +91,12 @@ def measurements_from_json(obj: dict) -> mdl.LinearMeasurements:
     return meas
 
 
-def network_to_json(net: mdl.UnobservedNetwork) -> dict:
-    def label(v: int) -> str:
-        return net.observed[v] if v < net.n else f"L{v - net.n}"
+def _label(net: mdl.UnobservedNetwork, v: int) -> str:
+    return net.observed[v] if v < net.n else f"L{v - net.n}"
 
-    edges = sorted([label(u), label(v)] for u, v in net.edges)
+
+def network_to_json(net: mdl.UnobservedNetwork) -> dict:
+    edges = sorted([_label(net, u), _label(net, v)] for u, v in net.edges)
     return {"observed": list(net.observed), "latent_count": net.latent_count, "edges": edges}
 
 
@@ -203,20 +204,22 @@ def read_panel_csv(path: str) -> TimeSeriesPanel:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _dot_id(name: str) -> str:
+    """Quoted DOT id; a backslash or quote in the name is escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def networks_to_dot(nets: Sequence[mdl.UnobservedNetwork]) -> str:
     """Observed nodes as filled boxes, latent nodes as dashed circles."""
     chunks = []
     for g_idx, net in enumerate(nets):
-        def label(v: int) -> str:
-            return net.observed[v] if v < net.n else f"L{v - net.n}"
-
         lines = [f"digraph g{g_idx} {{"]
-        for i, name in enumerate(net.observed):
-            lines.append(f'  "{name}" [shape=box, style=filled];')
+        for name in net.observed:
+            lines.append(f"  {_dot_id(name)} [shape=box, style=filled];")
         for z in net.latent_ids:
-            lines.append(f'  "{label(z)}" [shape=circle, style=dashed];')
-        for u, v in sorted((label(a), label(b)) for a, b in net.edges):
-            lines.append(f'  "{u}" -> "{v}";')
+            lines.append(f"  {_dot_id(_label(net, z))} [shape=circle, style=dashed];")
+        for u, v in sorted((_label(net, a), _label(net, b)) for a, b in net.edges):
+            lines.append(f"  {_dot_id(u)} -> {_dot_id(v)};")
         lines.append("}")
         chunks.append("\n".join(lines))
     return "\n".join(chunks) + "\n"
@@ -453,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = subs.add_parser("recover", help="reconstruct unobserved networks from measurements")
     p_rec.add_argument("measurements", help="input measurements JSON")
     p_rec.add_argument("--mode", choices=("tree", "dtr", "nm"), help="recovery algorithm (default dtr)")
-    p_rec.add_argument("--cap", type=int, help="latent budget per connected class (default 40)")
+    p_rec.add_argument("--cap", type=int, help="latent budget per connected class, read by --mode nm and tree (default 40)")
     p_rec.add_argument("--dot", help="also write Graphviz DOT here")
     p_rec.add_argument("--out", default="networks.json")
     _add_common(p_rec)
@@ -463,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("panel", help="input panel CSV")
     _add_estimation_flags(p_pipe)
     p_pipe.add_argument("--mode", choices=("tree", "dtr", "nm"), help="recovery algorithm (default dtr)")
-    p_pipe.add_argument("--cap", type=int, help="latent budget per connected class (default 40)")
+    p_pipe.add_argument("--cap", type=int, help="latent budget per connected class, read by --mode nm and tree (default 40)")
     p_pipe.add_argument("--out", default="pipeline.json")
     _add_common(p_pipe)
     p_pipe.set_defaults(func=_cmd_pipeline)

@@ -43,10 +43,10 @@ class BoundPriors:
             raise ValueError("rho22 must lie in (0, 1)")
         if self.rho12 < 0 or self.sigma_z2_max <= 0:
             raise ValueError("rho12 must be >= 0 and sigma_z2_max > 0")
-        a_min = self.a_min
-        if isinstance(a_min, (int, float)):
-            a_min = (float(a_min),)
-        object.__setattr__(self, "a_min", tuple(float(v) for v in a_min))
+        a_min = tuple(float(v) for v in np.atleast_1d(self.a_min))
+        if not a_min or not all(v >= 0 for v in a_min):  # NaN fails v >= 0
+            raise ValueError(f"a_min must hold one or more values >= 0, got {a_min}")
+        object.__setattr__(self, "a_min", a_min)
 
     def a_min_at(self, k: int) -> float:
         return self.a_min[min(k, len(self.a_min) - 1)]
@@ -265,11 +265,11 @@ def recoverability_check(priors: BoundPriors, n: int, l: int, k: int, l_hat: flo
     <= a_min,k: a gap of at most the bound then cannot hide a nonzero entry
     or fake a zero one.  Squared, this reads
     4 n (l-1) rho12^2 rho22^2 / a_min,k^2 <= l_hat / sigma_z2_max.  Where the
-    bound vanishes (l = 1 or rho12 = 0) every lag passes; otherwise a
+    bound vanishes (l <= 1 or rho12 = 0) every lag passes; otherwise a
     nonpositive l_hat leaves the bound unbounded and the check fails.
     """
     a_min = priors.a_min_at(k)
-    if a_min == math.inf or l == 1 or priors.rho12 == 0:
+    if a_min == math.inf or l <= 1 or priors.rho12 == 0:
         return True
     if l_hat <= 0:
         return False

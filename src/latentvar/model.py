@@ -131,7 +131,7 @@ class LinearMeasurements:
             s = np.asarray(s)
             if s.shape != (n, n):
                 raise ValueError(f"S_{k} must be {n}x{n}, got {s.shape}")
-            if not np.isin(s, (0, 1)).all():
+            if not ((s == 0) | (s == 1)).all():
                 raise ValueError(f"S_{k} must be a 0/1 matrix")
             mats.append(s.astype(np.uint8))
         if not mats:
@@ -254,19 +254,12 @@ class UnobservedNetwork:
         return cls(tuple(observed), a_ll.shape[0], frozenset(edges))
 
     def latent_subgraph_is_dag(self) -> bool:
-        """Kahn's algorithm on the latent-induced subgraph."""
-        _, _, a_ll, _ = self.adjacency_blocks()
-        indeg = a_ll.sum(axis=1)
-        ready = [z for z in range(self.latent_count) if indeg[z] == 0]
-        seen = 0
-        while ready:
-            z = ready.pop()
-            seen += 1
-            for w in np.flatnonzero(a_ll[:, z]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(int(w))
-        return seen == self.latent_count
+        """Whether the latent-induced subgraph is acyclic (its block is nilpotent)."""
+        try:
+            nilpotency_index(self.adjacency_blocks()[2])
+        except CyclicLatent:
+            return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -290,22 +283,36 @@ def nilpotency_index(a22) -> int:
         return 1
     power = np.where(np.abs(a22) > ZERO_TOL, a22, 0.0)
     for l in range(1, m + 1):
-        if not np.any(np.abs(power) > ZERO_TOL):
+        # inf and NaN read as nonzero: a power that overflowed is not zero
+        if (np.abs(power) <= ZERO_TOL).all():
             return l
-        power = power @ a22
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ a22
     raise CyclicLatent(f"a22 is not nilpotent up to power {m}")
+
+
+def _walk(a11, a12, a21, a22) -> list[np.ndarray]:
+    """``[A11, A12 A21, A12 A22 A21, .., A12 A22^(l-1) A21]`` with l the
+    nilpotency index of A22; raises CyclicLatent when A22 has none.
+
+    On int64 network blocks entry ``[k][j, i]`` counts the directed paths
+    ``i -> j`` of length ``k + 1`` whose interior is all latent.  A DAG path
+    is fixed by its set of interior nodes, so counts stay below 2**m and
+    int64 holds them exactly up to m = 62 latent nodes.
+    """
+    walk = [a11]
+    path = a21
+    for _ in range(nilpotency_index(a22)):
+        walk.append(a12 @ path)
+        path = a22 @ path
+    return walk
 
 
 def true_linear_measurements(model: LatentVarModel, names: Sequence[str] | None = None) -> LinearMeasurements:
     """Exact measurements of a model: supports of A11 and A12 A22^(k-1) A21."""
     b = model.blocks
-    l = nilpotency_index(b.a22)
-    supports = [(np.abs(b.a11) > ZERO_TOL).astype(np.uint8)]
-    path = b.a21
-    for _ in range(1, l + 1):
-        supports.append((np.abs(b.a12 @ path) > ZERO_TOL).astype(np.uint8))
-        path = b.a22 @ path
-    return LinearMeasurements(model.n, supports, names)
+    walk = _walk(b.a11, b.a12, b.a21, b.a22)
+    return LinearMeasurements(model.n, [np.abs(w) > ZERO_TOL for w in walk], names)
 
 
 def network_of(model: LatentVarModel, names: Sequence[str] | None = None) -> UnobservedNetwork:
@@ -317,23 +324,6 @@ def network_of(model: LatentVarModel, names: Sequence[str] | None = None) -> Uno
     return UnobservedNetwork.from_blocks(names, a21, a22, a12, a11)
 
 
-def _latent_walk(network: UnobservedNetwork, lengths: int) -> list[np.ndarray]:
-    """Path counts ``[a_oo, P_1, .., P_lengths]``, with ``P_k[j, i]`` the number
-    of directed paths ``i -> j`` of length ``k + 1`` whose interior is all
-    latent.  A DAG path is fixed by its set of interior nodes, so counts stay
-    below 2**m and int64 holds them exactly up to m = 62 latent nodes.
-    Raises CyclicLatent when the latent subgraph has a cycle."""
-    if not network.latent_subgraph_is_dag():
-        raise CyclicLatent("latent subgraph contains a directed cycle")
-    a_oo, a_ol, a_ll, a_lo = (a.astype(np.int64) for a in network.adjacency_blocks())
-    counts = [a_oo]
-    reach = a_ol  # reach[z, i]: paths from observed i to latent z
-    for _ in range(lengths):
-        counts.append(a_lo @ reach)
-        reach = a_ll @ reach
-    return counts
-
-
 def path_census(network: UnobservedNetwork, max_len: int) -> LinearMeasurements:
     """Supports of all latent paths of length <= max_len between observed nodes.
 
@@ -343,7 +333,7 @@ def path_census(network: UnobservedNetwork, max_len: int) -> LinearMeasurements:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    counts = _latent_walk(network, max_len - 1)
+    counts = latent_path_counts(network)[:max_len]
     return LinearMeasurements(network.n, [c != 0 for c in counts], network.observed)
 
 
@@ -355,11 +345,15 @@ def complete_census(network: UnobservedNetwork) -> LinearMeasurements:
 def latent_path_counts(network: UnobservedNetwork) -> list[np.ndarray]:
     """Exact number of distinct latent paths per (target, source) and length.
 
-    Entry ``[k][j, i]`` counts directed paths ``i -> j`` of length ``k + 1``
-    with all-latent interior (``k = 0`` is the plain adjacency).  Lets callers
+    Entry ``[k][j, i]`` (k = 0..m) counts paths ``i -> j`` of length ``k + 1``
+    with all-latent interior (k = 0 is the plain adjacency).  Lets callers
     check the single-path-per-length condition the merge search relies on.
+    Raises CyclicLatent when the latent subgraph has a cycle.
     """
-    return _latent_walk(network, network.latent_count)
+    m = network.latent_count
+    a_oo, a_ol, a_ll, a_lo = (a.astype(np.int64) for a in network.adjacency_blocks())
+    walk = _walk(a_oo, a_lo, a_ol, a_ll)
+    return (walk + [np.zeros_like(walk[0])] * m)[: m + 1]
 
 
 def single_path_per_length(network: UnobservedNetwork) -> bool:
@@ -376,14 +370,9 @@ def consistent(network: UnobservedNetwork, meas: LinearMeasurements) -> bool:
     if network.n != meas.n:
         return False
     census = complete_census(network)
-    if len(census.supports) != len(meas.supports):
-        return False
-    for a, b in zip(census.supports[1:], meas.supports[1:]):
-        if not np.array_equal(a, b):
-            return False
-    if network.observed_edges:
-        return np.array_equal(census.supports[0], meas.supports[0])
-    return True
+    if not network.observed_edges:
+        census = LinearMeasurements(meas.n, meas.supports[:1] + census.supports[1:])
+    return census == meas
 
 
 def _refine_latent_colors(network: UnobservedNetwork) -> list[list[int]]:
@@ -437,8 +426,6 @@ def canonical_form(network: UnobservedNetwork) -> CanonicalForm:
     """
     n, m = network.n, network.latent_count
     header = repr((n, network.observed, m)).encode()
-    if m == 0:
-        return CanonicalForm(header + repr(sorted(network.edges)).encode())
     classes = _refine_latent_colors(network)
     best = None
     for perms in itertools.product(*(itertools.permutations(c) for c in classes)):

@@ -32,6 +32,7 @@ from .errors import (
 from .model import (
     LinearMeasurements,
     UnobservedNetwork,
+    _walk,
     canonical_form,
     consistent,
     single_path_per_length,
@@ -60,13 +61,6 @@ class NodeProfile:
     m_i: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Latent-path lengths d[i, j] between observed nodes (0 = no path)."""
-
-    d: np.ndarray
-
-
 def node_profiles(meas: LinearMeasurements) -> list[NodeProfile]:
     """Profiles of all observed nodes, read off S_1.. (path lengths >= 2)."""
     n = meas.n
@@ -86,8 +80,8 @@ def node_profiles(meas: LinearMeasurements) -> list[NodeProfile]:
     return profiles
 
 
-def _unique_parents_ordered(profiles: list[NodeProfile]) -> list[int]:
-    """Unique-observed-parent candidates in ascending node order.
+def unique_parents(profiles: list[NodeProfile]) -> list[int]:
+    """Observed nodes that are the unique parent of some latent node, ascending.
 
     A node qualifies when, against every other node of equal longest length,
     either its top reach set is not covered or the two profiles are nested
@@ -115,11 +109,6 @@ def _unique_parents_ordered(profiles: list[NodeProfile]) -> list[int]:
     return chosen
 
 
-def unique_parents(profiles: list[NodeProfile]) -> set[int]:
-    """Observed nodes that are the unique parent of some latent node."""
-    return set(_unique_parents_ordered(profiles))
-
-
 def dtr(meas: LinearMeasurements) -> UnobservedNetwork:
     """Directed-tree recovery of the unobserved network.
 
@@ -138,7 +127,7 @@ def dtr(meas: LinearMeasurements) -> UnobservedNetwork:
     n = meas.n
     profiles = node_profiles(meas)
     prof = {p.node: p for p in profiles}
-    anchors = _unique_parents_ordered(profiles)
+    anchors = unique_parents(profiles)
     m = len(anchors)
     empty = UnobservedNetwork(meas.names, 0, frozenset())
     if m == 0:
@@ -175,8 +164,9 @@ def dtr(meas: LinearMeasurements) -> UnobservedNetwork:
     return candidate
 
 
-def distance_matrix(meas: LinearMeasurements) -> DistanceMatrix:
-    """d[i, j] = k + 1 where S_k[j, i] = 1 (k >= 1); one length per pair."""
+def distance_matrix(meas: LinearMeasurements) -> np.ndarray:
+    """Latent-path lengths d[i, j] = k + 1 where S_k[j, i] = 1 (k >= 1), 0
+    where there is no path; raises AmbiguousDistance for two lengths per pair."""
     n = meas.n
     d = np.zeros((n, n), dtype=int)
     for k in range(1, meas.max_k + 1):
@@ -186,7 +176,16 @@ def distance_matrix(meas: LinearMeasurements) -> DistanceMatrix:
                     f"pair ({i}, {j}) has latent paths of lengths {d[i, j]} and {k + 1}"
                 )
             d[i, j] = k + 1
-    return DistanceMatrix(d)
+    return d
+
+
+def _components(adj: np.ndarray) -> list[list[int]]:
+    """Components of the undirected graph ``adj | adj.T``, from the boolean
+    closure of its adjacency; each ascending, ordered by smallest member."""
+    reach = adj | adj.T | np.eye(len(adj), dtype=bool)
+    while not np.array_equal(closed := reach @ reach, reach):
+        reach = closed
+    return [np.flatnonzero(row).tolist() for k, row in enumerate(reach) if row.argmax() == k]
 
 
 def connected_classes(meas: LinearMeasurements) -> list[frozenset[int]]:
@@ -195,27 +194,11 @@ def connected_classes(meas: LinearMeasurements) -> list[frozenset[int]]:
     Nodes without any incident latent path are omitted; classes come back
     ordered by their smallest member.
     """
-    n = meas.n
-    und = np.zeros((n, n), dtype=bool)
+    paths = np.zeros((meas.n, meas.n), dtype=bool)
     for s in meas.supports[1:]:
-        und |= s.astype(bool) | s.astype(bool).T
-    incident = und.any(axis=0)
-    classes = []
-    seen: set[int] = set()
-    for start in range(n):
-        if not incident[start] or start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(und[u]):
-                if int(v) not in comp:
-                    comp.add(int(v))
-                    stack.append(int(v))
-        seen |= comp
-        classes.append(frozenset(comp))
-    return classes
+        paths |= s.astype(bool)
+    incident = paths.any(axis=0) | paths.any(axis=1)
+    return [frozenset(c) for c in _components(paths) if incident[c[0]]]
 
 
 def init_graph(meas: LinearMeasurements, cls: frozenset[int], cap: int = DEFAULT_CAP) -> UnobservedNetwork:
@@ -389,21 +372,11 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     return [g for _, g in sorted(combos.items())]
 
 
-def _latent_skeleton_is_forest(g: UnobservedNetwork) -> bool:
-    parent = {z: z for z in g.latent_ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in g.latent_edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+def _latent_forest(a_ll: np.ndarray) -> bool:
+    """Whether the latent skeleton, each directed edge an undirected one, is
+    a forest: a multigraph is one iff its edge and component counts sum to
+    its node count."""
+    return a_ll.sum() + len(_components(a_ll)) == len(a_ll)
 
 
 def recover_tree(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> UnobservedNetwork:
@@ -419,9 +392,9 @@ def recover_tree(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> Unobserved
     distance_matrix(meas)
     keep = []
     for g in nm(meas, cap):
-        if not _latent_skeleton_is_forest(g):
-            continue
-        if all(len(g.parents(z)) >= 2 and len(g.children(z)) >= 2 for z in g.latent_ids):
+        _, a_ol, a_ll, a_lo = g.adjacency_blocks()
+        indeg, outdeg = a_ol.sum(1) + a_ll.sum(1), a_lo.sum(0) + a_ll.sum(0)
+        if _latent_forest(a_ll) and (indeg >= 2).all() and (outdeg >= 2).all():
             keep.append(g)
     if len(keep) != 1:
         raise NotIdentifiable(f"{len(keep)} candidate networks satisfy the tree conditions")
@@ -484,11 +457,9 @@ def _enumerate_consistent(meas: LinearMeasurements, m: int) -> list[UnobservedNe
     solutions: list[UnobservedNetwork] = []
 
     for adj in _latent_dags_up_to_iso(m):
-        # path-length sets between latent pairs, from boolean powers
-        paths = [np.eye(m, dtype=bool)]
-        while paths[-1].any():
-            paths.append((adj.astype(np.uint8) @ paths[-1].astype(np.uint8)) > 0)
-        paths.pop()
+        # paths[d] = adj^d counts latent paths of d edges: the walk with A12 = A21 = I
+        eye = np.eye(m, dtype=np.int64)
+        paths = _walk(eye, eye, eye, adj.astype(np.int64))[1:]
         depth: dict[tuple[int, int], list[int]] = {}
         for u in range(m):
             for v in range(m):

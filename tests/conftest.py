@@ -201,3 +201,18 @@ def matches_tree_recovery(true_net: lv.UnobservedNetwork, rec_net: lv.Unobserved
         if {(a, f[b]) for a, b in t21} <= r21:
             return True
     return False
+
+
+def gen_latent_digraph(rng: np.random.Generator, m_max: int = 7) -> lv.UnobservedNetwork:
+    """Random network whose latent subgraph is any digraph without self-loops:
+    cycles, 2-cycles, isolated latents and disconnected latent parts all
+    arise often at the drawn densities."""
+    n = int(rng.integers(1, 4))
+    m = int(rng.integers(0, m_max + 1))
+    density = rng.uniform(0.05, 0.45)
+    edges = {
+        (n + a, n + b) for a in range(m) for b in range(m) if a != b and rng.random() < density
+    }
+    edges |= {(i, n + z) for i in range(n) for z in range(m) if rng.random() < 0.3}
+    edges |= {(n + z, j) for j in range(n) for z in range(m) if rng.random() < 0.3}
+    return lv.UnobservedNetwork(tuple(f"x{i}" for i in range(n)), m, frozenset(edges))

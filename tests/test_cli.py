@@ -303,6 +303,34 @@ class TestRecoverCommand:
         assert '"L0" [shape=circle, style=dashed];' in text
         assert '"milk" -> "L0";' in text
 
+    def test_dot_escapes_quotes_and_backslashes(self, ambig_meas, tmp_path):
+        # every DOT id must be one quoted string whose \" and \\ escapes
+        # give back the name, and the edges must match the network JSON
+        obj = cli.measurements_to_json(ambig_meas)
+        obj["names"] = ['a"b', "c\\", 'say "hi"', "d\\\"e"]
+        path = tmp_path / "meas.json"
+        cli.write_json(str(path), obj)
+        dot, out = tmp_path / "nets.dot", tmp_path / "nets.json"
+        assert run(["recover", str(path), "--mode", "nm", "--dot", str(dot), "--out", str(out)]) == 0
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        node = re.compile(rf"  {quoted} \[shape=(box, style=filled|circle, style=dashed)\];")
+        edge = re.compile(rf"  {quoted} -> {quoted};")
+
+        def unescape(s):
+            return re.sub(r"\\(.)", r"\1", s)
+
+        graphs = dot.read_text().split("}\n")[:-1]
+        nets = json.loads(out.read_text())
+        assert len(graphs) == len(nets) == 2
+        for text, net in zip(graphs, nets):
+            lines = text.splitlines()[1:]
+            nodes = [node.fullmatch(ln) for ln in lines if "->" not in ln]
+            edges = [edge.fullmatch(ln) for ln in lines if "->" in ln]
+            assert all(nodes) and all(edges)
+            want_nodes = obj["names"] + [f"L{z}" for z in range(net["latent_count"])]
+            assert [unescape(m.group(1)) for m in nodes] == want_nodes
+            assert sorted([unescape(m.group(1)), unescape(m.group(2))] for m in edges) == net["edges"]
+
     def test_cap_exceeded_exits_3(self, ambig_meas_json, tmp_path, capsys):
         code = run(["recover", ambig_meas_json, "--mode", "nm", "--cap", "4",
                     "--out", str(tmp_path / "x.json")])

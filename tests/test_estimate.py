@@ -219,6 +219,25 @@ class TestRecoverabilityCheck:
         priors = lv.BoundPriors(0.4, 0.3, 1.0, (0.05,))
         assert not lv.recoverability_check(priors, 5, 3, 0, 100.0)
 
+    def test_lag_zero_passes(self):
+        # prop1_bound is 0 at l = 0, so the check passes whatever l_hat is
+        priors = lv.BoundPriors(0.4, 0.3, 1.0, (0.05,))
+        assert lv.prop1_bound(5, 0, 0, 1.0, 0.4, 0.3) == 0.0
+        for l_hat in (1.0, 0.0, -1.0):
+            assert lv.recoverability_check(priors, 5, 0, 0, l_hat)
+
+
+class TestBoundPriors:
+    @pytest.mark.parametrize("a_min", [0.05, (0.05,), [0.0, 0.1], math.inf])
+    def test_accepts_nonnegative_floors(self, a_min):
+        priors = lv.BoundPriors(0.4, 0.3, 1.0, a_min)
+        assert priors.a_min_at(0) == np.atleast_1d(a_min)[0]
+
+    @pytest.mark.parametrize("a_min", [(), [], -0.1, (0.1, -1e-9), math.nan, (0.1, math.nan)])
+    def test_rejects_unusable_floors(self, a_min):
+        with pytest.raises(ValueError, match="a_min"):
+            lv.BoundPriors(0.4, 0.3, 1.0, a_min)
+
 
 class TestExtractSupport:
     def _report(self, b_hat, stderr, names=("a", "b")):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import latentvar as lv
-from conftest import canon_keys, gen_single_path_instance, gen_stationary_model
+from conftest import canon_keys, gen_latent_digraph, gen_single_path_instance, gen_stationary_model
 
 
 def chain_model(a11=0.0, a21=0.5, a12=0.5, sigma_x2=1.0, sigma_z2=1.0):
@@ -30,6 +30,12 @@ class TestNilpotencyIndex:
 
     def test_tiny_entries_are_zero(self):
         assert lv.nilpotency_index(np.array([[0.0, 1e-14], [1e-13, 0.0]])) == 1
+
+    def test_overflowing_cycle_is_not_nilpotent(self):
+        # the square of this 3-cycle block is all inf and its cube all NaN,
+        # which must not read as the zero matrix
+        with pytest.raises(lv.CyclicLatent):
+            lv.nilpotency_index(1e200 * (np.ones((3, 3)) - np.eye(3)))
 
 
 class TestTrueLinearMeasurements:
@@ -285,6 +291,71 @@ class TestConsistent:
         assert lv.consistent(net, meas_match)
         other = lv.LinearMeasurements(2, [np.array([[0, 1], [0, 0]])], ("a", "b"))
         assert not lv.consistent(net, other)
+
+
+def reference_latent_subgraph_is_dag(net: lv.UnobservedNetwork) -> bool:
+    """Kahn's algorithm on the latent-induced subgraph, the acyclicity test
+    latent_subgraph_is_dag ran before it read nilpotency_index; kept as its
+    reference with the body unchanged."""
+    _, _, a_ll, _ = net.adjacency_blocks()
+    indeg = a_ll.sum(axis=1)
+    ready = [z for z in range(net.latent_count) if indeg[z] == 0]
+    seen = 0
+    while ready:
+        z = ready.pop()
+        seen += 1
+        for w in np.flatnonzero(a_ll[:, z]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(int(w))
+    return seen == net.latent_count
+
+
+class TestLatentDagAgainstKahn:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_digraphs(self, seed):
+        rng = np.random.default_rng(1300 + seed)
+        dag = cyclic = two_cycle = 0
+        for _ in range(150):
+            net = gen_latent_digraph(rng)
+            want = reference_latent_subgraph_is_dag(net)
+            assert net.latent_subgraph_is_dag() == want
+            if want:
+                dag += 1
+                assert len(lv.latent_path_counts(net)) == net.latent_count + 1
+            else:
+                cyclic += 1
+                with pytest.raises(lv.CyclicLatent):
+                    lv.complete_census(net)
+            two_cycle += any((v, u) in net.edges for u, v in net.latent_edges)
+        assert dag and cyclic and two_cycle
+
+    def test_dense_cycle_past_float_range(self):
+        # walk counts of 160 fully linked latents pass 1e308 before the
+        # 160th power; the block is still cyclic
+        m = 160
+        edges = {(1 + a, 1 + b) for a in range(m) for b in range(m) if a != b} | {(0, 1)}
+        net = lv.UnobservedNetwork(("a",), m, frozenset(edges))
+        assert not reference_latent_subgraph_is_dag(net)
+        assert not net.latent_subgraph_is_dag()
+        with pytest.raises(lv.CyclicLatent):
+            lv.complete_census(net)
+
+    @pytest.mark.parametrize(
+        "latent_edges, want",
+        [
+            ((), True),                          # isolated latents
+            (((0, 1), (1, 0)), False),           # 2-cycle
+            (((0, 1), (2, 3)), True),            # two disconnected chains
+            (((0, 1), (1, 2), (2, 0)), False),   # 3-cycle
+            (((0, 1), (2, 3), (3, 2)), False),   # a cycle in one of two parts
+            (((0, 1), (0, 2), (1, 3), (2, 3)), True),  # diamond
+        ],
+    )
+    def test_fixed_shapes(self, latent_edges, want):
+        net = lv.UnobservedNetwork(("a",), 4, frozenset((1 + u, 1 + v) for u, v in latent_edges))
+        assert reference_latent_subgraph_is_dag(net) == want
+        assert net.latent_subgraph_is_dag() == want
 
 
 class TestCanonicalForm:

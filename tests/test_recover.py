@@ -14,17 +14,19 @@ from latentvar.recover import (
     DEFAULT_CAP,
     _blocks_valid,
     _disjoint_union,
+    _latent_forest,
     _merge_blocks,
     _screened_pairs,
-    _unique_parents_ordered,
     canonical_form,
     connected_classes,
     init_graph,
     node_profiles,
+    unique_parents,
 )
 from conftest import (
     canon_keys,
     gen_degree_tree,
+    gen_latent_digraph,
     gen_single_path_instance,
     gen_unique_parent_tree,
     matches_tree_recovery,
@@ -76,15 +78,15 @@ class TestNodeProfiles:
 
 class TestUniqueParents:
     def test_dairy(self, dairy_meas):
-        assert lv.unique_parents(lv.node_profiles(dairy_meas)) == {0}
+        assert lv.unique_parents(lv.node_profiles(dairy_meas)) == [0]
 
     def test_nested_tree(self, nested_tree_network):
         meas = lv.complete_census(nested_tree_network)
-        assert lv.unique_parents(lv.node_profiles(meas)) == {0, 1, 2, 3}
+        assert lv.unique_parents(lv.node_profiles(meas)) == [0, 1, 2, 3]
 
     def test_empty(self):
         meas = lv.LinearMeasurements(2, [np.zeros((2, 2), dtype=int)])
-        assert lv.unique_parents(lv.node_profiles(meas)) == set()
+        assert lv.unique_parents(lv.node_profiles(meas)) == []
 
 
 class TestDtr:
@@ -144,7 +146,7 @@ def reference_dtr(meas):
     n = meas.n
     profiles = node_profiles(meas)
     prof = {p.node: p for p in profiles}
-    anchors = _unique_parents_ordered(profiles)
+    anchors = unique_parents(profiles)
     m = len(anchors)
     empty = UnobservedNetwork(meas.names, 0, frozenset())
     if m == 0:
@@ -267,14 +269,14 @@ class TestDtrMatchesSearch:
 class TestDistanceMatrix:
     def test_single_entry(self):
         meas = meas_from_entries(4, [(1, 1, 2)])
-        assert lv.distance_matrix(meas).d[1, 2] == 2
+        assert lv.distance_matrix(meas)[1, 2] == 2
 
     def test_all_zero(self):
         meas = lv.LinearMeasurements(3, [np.zeros((3, 3), dtype=int)])
-        assert not lv.distance_matrix(meas).d.any()
+        assert not lv.distance_matrix(meas).any()
 
     def test_ambiguous_example(self, ambig_meas):
-        d = lv.distance_matrix(ambig_meas).d
+        d = lv.distance_matrix(ambig_meas)
         want = np.zeros((4, 4), dtype=int)
         want[1, 2] = 2
         want[0, 3] = 3
@@ -342,6 +344,103 @@ class TestConnectedClasses:
     def test_self_path_counts_as_incident(self):
         meas = meas_from_entries(3, [(1, 1, 1)])
         assert lv.connected_classes(meas) == [frozenset({1})]
+
+
+def reference_connected_classes(meas):
+    """connected_classes as it was when it walked each class by depth-first
+    search; kept as the reference for the closure-based routine, body unchanged."""
+    n = meas.n
+    und = np.zeros((n, n), dtype=bool)
+    for s in meas.supports[1:]:
+        und |= s.astype(bool) | s.astype(bool).T
+    incident = und.any(axis=0)
+    classes = []
+    seen: set[int] = set()
+    for start in range(n):
+        if not incident[start] or start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in np.flatnonzero(und[u]):
+                if int(v) not in comp:
+                    comp.add(int(v))
+                    stack.append(int(v))
+        seen |= comp
+        classes.append(frozenset(comp))
+    return classes
+
+
+def reference_latent_skeleton_is_forest(g):
+    """The union-find forest filter recover_tree ran on the latent edge set
+    before it read the blocks; kept as the reference for _latent_forest,
+    body unchanged."""
+    parent = {z: z for z in g.latent_ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in g.latent_edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+    return True
+
+
+class TestComponentsAgainstReferences:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_connected_classes_match_dfs(self, seed):
+        rng = np.random.default_rng(1400 + seed)
+        several = omitted = self_path = 0
+        for _ in range(150):
+            n = int(rng.integers(0, 9))
+            k_max = int(rng.integers(1, 4))
+            density = rng.uniform(0.0, 0.15)
+            supports = [rng.random((n, n)) < 0.3] + [rng.random((n, n)) < density for _ in range(k_max)]
+            meas = lv.LinearMeasurements(n, [s.astype(int) for s in supports])
+            want = reference_connected_classes(meas)
+            assert connected_classes(meas) == want
+            several += len(want) > 1
+            omitted += sum(map(len, want)) < n
+            self_path += any(len(c) == 1 for c in want)
+        assert several and omitted and self_path
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forest_filter_matches_union_find(self, seed):
+        rng = np.random.default_rng(1500 + seed)
+        not_forest = two_cycle = isolated = split = 0
+        for _ in range(150):
+            g = gen_latent_digraph(rng)
+            want = reference_latent_skeleton_is_forest(g)
+            assert _latent_forest(g.adjacency_blocks()[2]) == want
+            edges = g.latent_edges
+            not_forest += not want
+            two_cycle += any((v, u) in edges for u, v in edges)
+            isolated += any(not any(z in e for e in edges) for z in g.latent_ids)
+            # a forest with m - E components: at least two, one of them not a lone node
+            split += want and 1 <= len(edges) <= g.latent_count - 2
+        assert not_forest and two_cycle and isolated and split
+
+    @pytest.mark.parametrize(
+        "latent_edges, want",
+        [
+            ((), True),                          # isolated latents
+            (((0, 1), (1, 0)), False),           # 2-cycle
+            (((0, 1), (2, 3)), True),            # two disconnected chains
+            (((0, 1), (1, 2), (0, 2)), False),   # undirected triangle, acyclic digraph
+            (((0, 1), (0, 2), (0, 3)), True),    # star
+            (((0, 1), (2, 3), (3, 2)), False),   # a 2-cycle in one of two parts
+        ],
+    )
+    def test_forest_filter_fixed_shapes(self, latent_edges, want):
+        g = lv.UnobservedNetwork(("a",), 4, frozenset((1 + u, 1 + v) for u, v in latent_edges))
+        assert reference_latent_skeleton_is_forest(g) == want
+        assert _latent_forest(g.adjacency_blocks()[2]) == want
 
 
 class TestInitGraph:
