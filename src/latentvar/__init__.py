@@ -49,12 +49,10 @@ from .model import (
 from .recover import (
     DEFAULT_CAP,
     NodeProfile,
-    check,
     connected_classes,
     distance_matrix,
     dtr,
     init_graph,
-    merge,
     nm,
     node_profiles,
     oracle_minimal,

@@ -190,6 +190,8 @@ def read_panel_csv(path: str) -> TimeSeriesPanel:
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one sample")
     names = [c.strip() for c in rows[0]]
+    if not names:
+        raise InputError(f"{path}: header names no series")
     _unique_names(names, path)
     for r, row in enumerate(rows[1:], 2):
         if len(row) != len(names):
@@ -360,7 +362,7 @@ def _recover_networks(meas: mdl.LinearMeasurements, cfg: RunConfig) -> list[mdl.
     if cfg.mode == "dtr":
         return [rec.dtr(meas)]
     if cfg.mode == "tree":
-        return [rec.recover_tree(meas, cap=cfg.cap)]
+        return [rec.recover_tree(meas)]
     return rec.nm(meas, cap=cfg.cap)
 
 
@@ -456,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = subs.add_parser("recover", help="reconstruct unobserved networks from measurements")
     p_rec.add_argument("measurements", help="input measurements JSON")
     p_rec.add_argument("--mode", choices=("tree", "dtr", "nm"), help="recovery algorithm (default dtr)")
-    p_rec.add_argument("--cap", type=int, help="latent budget per connected class, read by --mode nm and tree (default 40)")
+    p_rec.add_argument("--cap", type=int, help="latent budget per connected class, read by --mode nm (default 40)")
     p_rec.add_argument("--dot", help="also write Graphviz DOT here")
     p_rec.add_argument("--out", default="networks.json")
     _add_common(p_rec)
@@ -466,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("panel", help="input panel CSV")
     _add_estimation_flags(p_pipe)
     p_pipe.add_argument("--mode", choices=("tree", "dtr", "nm"), help="recovery algorithm (default dtr)")
-    p_pipe.add_argument("--cap", type=int, help="latent budget per connected class, read by --mode nm and tree (default 40)")
+    p_pipe.add_argument("--cap", type=int, help="latent budget per connected class, read by --mode nm (default 40)")
     p_pipe.add_argument("--out", default="pipeline.json")
     _add_common(p_pipe)
     p_pipe.set_defaults(func=_cmd_pipeline)

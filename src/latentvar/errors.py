@@ -26,7 +26,7 @@ class InconsistentRecovery(LatentVarError):
 
 
 class NotIdentifiable(LatentVarError):
-    """Zero or several candidate networks survive the tree-recovery filter."""
+    """Tree recovery's one network fails the tree checks, or its profile closure passes its cap."""
 
 
 class AmbiguousDistance(LatentVarError):

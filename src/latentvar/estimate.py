@@ -41,8 +41,8 @@ class BoundPriors:
     def __post_init__(self):
         if not 0.0 < self.rho22 < 1.0:
             raise ValueError("rho22 must lie in (0, 1)")
-        if self.rho12 < 0 or self.sigma_z2_max <= 0:
-            raise ValueError("rho12 must be >= 0 and sigma_z2_max > 0")
+        if not (0 <= self.rho12 < math.inf and 0 < self.sigma_z2_max < math.inf):  # NaN fails both
+            raise ValueError("rho12 must lie in [0, inf) and sigma_z2_max in (0, inf)")
         a_min = tuple(float(v) for v in np.atleast_1d(self.a_min))
         if not a_min or not all(v >= 0 for v in a_min):  # NaN fails v >= 0
             raise ValueError(f"a_min must hold one or more values >= 0, got {a_min}")

@@ -203,9 +203,6 @@ class UnobservedNetwork:
     def latent_ids(self) -> range:
         return range(self.n, self.n + self.latent_count)
 
-    def is_latent(self, v: int) -> bool:
-        return v >= self.n
-
     def parents(self, v: int) -> set[int]:
         return {u for u, w in self.edges if w == v}
 
@@ -348,10 +345,12 @@ def latent_path_counts(network: UnobservedNetwork) -> list[np.ndarray]:
     Entry ``[k][j, i]`` (k = 0..m) counts paths ``i -> j`` of length ``k + 1``
     with all-latent interior (k = 0 is the plain adjacency).  Lets callers
     check the single-path-per-length condition the merge search relies on.
+    Counts are int64 up to m = 62 (see _walk), Python ints above it.
     Raises CyclicLatent when the latent subgraph has a cycle.
     """
     m = network.latent_count
-    a_oo, a_ol, a_ll, a_lo = (a.astype(np.int64) for a in network.adjacency_blocks())
+    dtype = np.int64 if m <= 62 else object
+    a_oo, a_ol, a_ll, a_lo = (a.astype(np.int64).astype(dtype) for a in network.adjacency_blocks())
     walk = _walk(a_oo, a_lo, a_ol, a_ll)
     return (walk + [np.zeros_like(walk[0])] * m)[: m + 1]
 

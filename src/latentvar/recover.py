@@ -9,7 +9,8 @@ Three recovery routes plus a small-scale exhaustive oracle:
                       with the minimum number of latent nodes.
 * ``recover_tree`` -- the unique realization when the unobserved network is a
                       directed tree whose latent nodes all have two parents
-                      and two children.
+                      and two children, built in one pass from the latent
+                      path lengths (no search).
 * ``oracle_minimal`` -- exhaustive enumeration, the test oracle for the two
                       search algorithms (the underlying minimization is
                       NP-hard, so scale limits are enforced).
@@ -63,20 +64,11 @@ class NodeProfile:
 
 def node_profiles(meas: LinearMeasurements) -> list[NodeProfile]:
     """Profiles of all observed nodes, read off S_1.. (path lengths >= 2)."""
-    n = meas.n
     profiles = []
-    for i in range(n):
-        pairs = set()
-        for k in range(1, meas.max_k + 1):
-            for j in np.flatnonzero(meas.supports[k][:, i]):
-                pairs.add((int(j), k + 1))
-        if pairs:
-            l_i = max(r for _, r in pairs)
-            r_i = frozenset(j for j, r in pairs if r == l_i)
-        else:
-            l_i = 0
-            r_i = frozenset()
-        profiles.append(NodeProfile(i, l_i, r_i, frozenset(pairs)))
+    for i in range(meas.n):
+        pairs = {(int(j), k + 1) for k in range(1, meas.max_k + 1) for j in np.flatnonzero(meas.supports[k][:, i])}
+        l_i = max((r for _, r in pairs), default=0)
+        profiles.append(NodeProfile(i, l_i, frozenset(j for j, r in pairs if r == l_i), frozenset(pairs)))
     return profiles
 
 
@@ -222,23 +214,6 @@ def init_graph(meas: LinearMeasurements, cls: frozenset[int], cap: int = DEFAULT
     return UnobservedNetwork(meas.names, m, frozenset(edges))
 
 
-def merge(g: UnobservedNetwork, u: int, v: int) -> UnobservedNetwork:
-    """Contract latent v into latent u: drop the pair's mutual edges, hand
-    v's remaining parents and children to u, and renumber the latents."""
-    if u == v or not (g.is_latent(u) and g.is_latent(v)):
-        raise ValueError("merge needs two distinct latent node ids")
-    a_oo, *blocks = g.adjacency_blocks()
-    merged = _merge_blocks(*blocks, u - g.n, v - g.n)
-    return UnobservedNetwork.from_blocks(g.observed, *merged, a_oo)
-
-
-def check(g: UnobservedNetwork, u: int, v: int, meas: LinearMeasurements) -> bool:
-    """Whether merging u and v keeps the latent subgraph acyclic and the
-    census equal to the measurements."""
-    merged = merge(g, u, v)
-    return merged.latent_subgraph_is_dag() and consistent(merged, meas)
-
-
 def _merge_blocks(p, b, q, x: int, y: int):
     """Fold latent y into latent x in the (obs->latent, latent->latent,
     latent->obs) blocks: drop the pair's mutual edges, hand y's parents and
@@ -379,26 +354,66 @@ def _latent_forest(a_ll: np.ndarray) -> bool:
     return a_ll.sum() + len(_components(a_ll)) == len(a_ll)
 
 
-def recover_tree(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> UnobservedNetwork:
-    """Unique tree realization of the measurements.
+def recover_tree(meas: LinearMeasurements) -> UnobservedNetwork:
+    """Unique tree realization of the measurements, built in one pass.
 
-    Valid when the unobserved network is a directed tree and every latent
-    node has at least two parents and two children: the minimal networks are
-    searched and the single candidate passing the tree and degree filters is
-    returned.  Raises NotIdentifiable when zero or several survive and
-    AmbiguousDistance when the measurements cannot come from a tree at all,
-    and CapExceeded when the merge search's initial graph exceeds ``cap``.
+    For a directed tree whose latents all have two parents and two children.
+    A node's *profile* holds (i, d) for each observed i with a latent path of
+    length d into it (a sink's is its ``distance_matrix`` column); profiles a
+    and b *agree* on {(i, k - 1) : (i, k) in both, k >= 2}.  Argued, not
+    proved (the tests compare this route with its former body, the merge
+    search's output filtered for trees): observed nodes cut latent paths, so
+    each is a leaf of any latent component it touches; latents have distinct
+    profiles, as each has a parent branch whose sources reach another latent
+    only through it; an agreement of u with any node lies in one parent's
+    profile; and each latent's profile is the agreement of two of its
+    children, so the sink profiles (a multiset, as observed siblings share
+    one) closed under agreement hold every latent's, by induction on height.
+    A node's latent parents are then the members whose shift {(i, k + 1)}
+    fits in its profile, maximal by inclusion, and (i, 1) is the edge i ->
+    node.  Walking up from the sinks skips spurious agreements, like those of
+    an observed node that feeds two latent components.  The closure is
+    capped at sum_k k |S_k| members, the initial merge graph's latent count,
+    which bounds any consistent tree's.  Raises NotIdentifiable past the cap
+    or when the network fails the tree filter (latent forest, two parents and
+    children per latent), ``consistent`` or ``single_path_per_length``, and
+    AmbiguousDistance when no tree can give the measurements.
     """
-    distance_matrix(meas)
-    keep = []
-    for g in nm(meas, cap):
-        _, a_ol, a_ll, a_lo = g.adjacency_blocks()
-        indeg, outdeg = a_ol.sum(1) + a_ll.sum(1), a_lo.sum(0) + a_ll.sum(0)
-        if _latent_forest(a_ll) and (indeg >= 2).all() and (outdeg >= 2).all():
-            keep.append(g)
-    if len(keep) != 1:
-        raise NotIdentifiable(f"{len(keep)} candidate networks satisfy the tree conditions")
-    return keep[0]
+    d = distance_matrix(meas)
+    sinks = [(j, frozenset((int(i), int(d[i, j])) for i in np.flatnonzero(d[:, j]))) for j in range(meas.n) if d[:, j].any()]
+    profiles = [a for _, a in sinks]
+    bound = sum(k * int(s.sum()) for k, s in enumerate(meas.supports))
+    pool = list(dict.fromkeys(profiles))  # grows with the agreements
+    derived: dict[frozenset, frozenset] = {}  # agreement -> its shift, in the order they turn up
+    for t, a in enumerate(pool):
+        for b in pool[: t + 1]:
+            c = frozenset((i, k - 1) for i, k in a & b if k >= 2)
+            if c and c not in derived and (b != a or profiles.count(a) > 1):
+                derived[c] = frozenset((i, k + 1) for i, k in c)
+                if len(derived) > bound:
+                    raise NotIdentifiable(f"profile closure passed its cap of {bound} members")
+                if c not in profiles:
+                    pool.append(c)
+    latent: dict[frozenset, int] = {}  # profile -> node id
+    edges: set[tuple[int, int]] = set()
+    walk = list(sinks)
+    for node, a in walk:
+        under = [c for c, shifted in derived.items() if shifted <= a]
+        for c in under:
+            if not any(c < e for e in under):
+                if c not in latent:
+                    latent[c] = meas.n + len(latent)
+                    walk.append((latent[c], c))
+                edges.add((latent[c], node))
+        if node >= meas.n:
+            edges.update((i, node) for i, k in a if k == 1)
+    g = UnobservedNetwork(meas.names, len(latent), frozenset(edges))
+    _, a_ol, a_ll, a_lo = g.adjacency_blocks()
+    indeg, outdeg = a_ol.sum(1) + a_ll.sum(1), a_lo.sum(0) + a_ll.sum(0)
+    if not (_latent_forest(a_ll) and (indeg >= 2).all() and (outdeg >= 2).all()
+            and consistent(g, meas) and single_path_per_length(g)):
+        raise NotIdentifiable("0 candidate networks satisfy the tree conditions")
+    return g
 
 
 def _latent_dags_up_to_iso(m: int) -> list[np.ndarray]:

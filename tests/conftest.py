@@ -52,6 +52,17 @@ def west_german_meas() -> lv.LinearMeasurements:
     )
 
 
+@pytest.fixture
+def no_merge_search(monkeypatch):
+    """Make the merge search and its initial graph raise, so that a test shows
+    the route it runs never reaches them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the merge search was reached")
+
+    monkeypatch.setattr("latentvar.recover.nm", refuse)
+    monkeypatch.setattr("latentvar.recover.init_graph", refuse)
+
+
 def canon_keys(nets) -> set[bytes]:
     return {lv.canonical_form(g).key for g in nets}
 

@@ -181,6 +181,24 @@ class TestEstimateCommand:
         assert code == 3
         assert "SingularCovariance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--rho12", "nan"), ("--rho12", "inf"), ("--sigma-z2-max", "inf")])
+    def test_non_finite_prior_exits_2(self, dairy_csv, tmp_path, capsys, flag, value):
+        # these once zeroed every support and wrote NaN bounds into the report
+        priors = {"--rho12": "0.5", "--rho22": "0.5", "--sigma-z2-max": "1.0", flag: value}
+        code = run(["estimate", dairy_csv, "--lag", "1", *(x for kv in priors.items() for x in kv),
+                    "--out-measurements", str(tmp_path / "m.json"),
+                    "--out-report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "rho12 must lie in" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_panel_without_series_exits_2(self, tmp_path, capsys):
+        # blank lines read as a T x 0 panel, which once crashed lag selection
+        path = tmp_path / "blank.csv"
+        path.write_text("\n" * 5)
+        assert run(["estimate", str(path)]) == 2
+        assert "header names no series" in capsys.readouterr().err
+
 
 def reference_write_panel_csv(path, panel):
     """The per-cell writer that write_panel_csv replaced, kept as its reference."""
@@ -337,12 +355,16 @@ class TestRecoverCommand:
         assert code == 3
         assert "CapExceeded" in capsys.readouterr().err
 
-    def test_tree_mode_respects_cap(self, ambig_meas_json, tmp_path, capsys):
-        # the initial merge graph needs 5 latents; a cap of 1 must stop it
-        code = run(["recover", ambig_meas_json, "--mode", "tree", "--cap", "1",
-                    "--out", str(tmp_path / "x.json")])
-        assert code == 3
-        assert "CapExceeded" in capsys.readouterr().err
+    def test_tree_mode_ignores_cap(self, tmp_path, no_merge_search):
+        # one latent with 7 observed parents and 7 observed children: its
+        # initial merge graph has 49 latents, so the merge search would stop at
+        # any cap below that, but tree mode neither reads --cap nor searches
+        star = lv.UnobservedNetwork(tuple(f"x{i}" for i in range(14)), 1,
+                                    frozenset({(i, 14) for i in range(7)} | {(14, j) for j in range(7, 14)}))
+        path, out = tmp_path / "star.json", tmp_path / "net.json"
+        cli.write_json(str(path), cli.measurements_to_json(lv.complete_census(star)))
+        assert run(["recover", str(path), "--mode", "tree", "--cap", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == cli.network_to_json(star)
 
     def test_bad_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -239,6 +239,14 @@ class TestBoundPriors:
             lv.BoundPriors(0.4, 0.3, 1.0, a_min)
 
 
+    @pytest.mark.parametrize("rho12, sigma_z2_max", [(math.nan, 1.0), (math.inf, 1.0), (-0.1, 1.0),
+                                                      (0.4, math.nan), (0.4, math.inf), (0.4, 0.0)])
+    def test_rejects_unusable_norm_and_variance_bounds(self, rho12, sigma_z2_max):
+        # a NaN or infinite bound made every support entry fail the gate
+        with pytest.raises(ValueError, match="rho12 must lie in"):
+            lv.BoundPriors(rho12, 0.3, sigma_z2_max)
+
+
 class TestExtractSupport:
     def _report(self, b_hat, stderr, names=("a", "b")):
         n = len(names)

@@ -251,6 +251,21 @@ class TestPathCountsAgainstEnumeration:
         assert meas.max_k == 2
         assert meas.supports[2].tolist() == [[0, 0], [1, 0]]
 
+    def test_counts_past_int64(self):
+        # a -> 64 diamonds of two latents, each closed by a join latent -> b:
+        # 192 latents and 2**64 paths of length 129, which an int64 walk wraps to zero
+        edges, prev = set(), 0
+        for t in range(64):
+            u, v, join = 2 + 3 * t, 3 + 3 * t, 4 + 3 * t
+            edges |= {(prev, u), (prev, v), (u, join), (v, join)}
+            prev = join
+        edges.add((prev, 1))
+        net = lv.UnobservedNetwork(("a", "b"), 192, frozenset(edges))
+        assert lv.latent_path_counts(net)[128][1, 0] == 2**64
+        meas = lv.complete_census(net)
+        assert meas.max_k == 128
+        assert meas.supports[128].tolist() == [[0, 0], [1, 0]]
+
     def test_cyclic_latent_rejected(self):
         net = lv.UnobservedNetwork(("1",), 2, frozenset({(0, 1), (1, 2), (2, 1), (2, 0)}))
         with pytest.raises(lv.CyclicLatent):

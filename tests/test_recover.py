@@ -1,6 +1,7 @@
 """Recovery tests: node profiles, unique parents, DTR, the merge search, the
 tree route, and the exhaustive oracle."""
 
+import inspect
 import itertools
 import sys
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import latentvar as lv
-from latentvar.errors import InconsistentRecovery
+from latentvar.errors import InconsistentRecovery, NotIdentifiable
 from latentvar.model import UnobservedNetwork, consistent
 from latentvar.recover import (
     DEFAULT_CAP,
@@ -19,7 +20,9 @@ from latentvar.recover import (
     _screened_pairs,
     canonical_form,
     connected_classes,
+    distance_matrix,
     init_graph,
+    nm,
     node_profiles,
     unique_parents,
 )
@@ -225,7 +228,7 @@ def dtr_comparison_inputs(scale):
             yield got
 
 
-def dtr_outcome(fn, meas):
+def route_outcome(fn, meas):
     """Canonical key of fn's network, or the type of the error it raised."""
     try:
         return lv.canonical_form(fn(meas)).key
@@ -236,7 +239,7 @@ def dtr_outcome(fn, meas):
 class TestDtrMatchesSearch:
     def test_same_network_or_error_as_the_search(self):
         outcomes = [
-            (dtr_outcome(lv.dtr, meas), dtr_outcome(reference_dtr, meas))
+            (route_outcome(lv.dtr, meas), route_outcome(reference_dtr, meas))
             for meas in dtr_comparison_inputs(scale=30)
         ]
         assert len(outcomes) > 1600
@@ -289,44 +292,103 @@ class TestDistanceMatrix:
             lv.distance_matrix(meas)
 
 
+def initial_latents(meas):
+    """Latent count of the merge search's initial graph, sum_k k |S_k|."""
+    return sum(k * int(s.sum()) for k, s in enumerate(meas.supports))
+
+
+def star_network(parents, children):
+    """One latent with ``parents`` observed parents and ``children`` observed children."""
+    n = parents + children
+    edges = {(i, n) for i in range(parents)} | {(n, j) for j in range(parents, n)}
+    return lv.UnobservedNetwork(tuple(str(i + 1) for i in range(n)), 1, frozenset(edges))
+
+
+@pytest.mark.usefixtures("no_merge_search")
 class TestRecoverTree:
     def test_star(self):
-        star = lv.UnobservedNetwork(
-            ("1", "2", "3", "4"), 1, frozenset({(0, 4), (1, 4), (4, 2), (4, 3)})
-        )
+        star = star_network(2, 2)
         rec = lv.recover_tree(lv.complete_census(star))
         assert lv.canonical_form(rec).key == lv.canonical_form(star).key
 
     def test_dairy_not_identifiable(self, dairy_meas):
-        with pytest.raises(lv.NotIdentifiable):
+        with pytest.raises(lv.NotIdentifiable, match="0 candidate networks satisfy the tree conditions"):
             lv.recover_tree(dairy_meas)
 
     def test_empty_measurements(self):
         meas = lv.LinearMeasurements(2, [np.zeros((2, 2), dtype=int)])
         assert lv.recover_tree(meas).latent_count == 0
 
-    def test_cap_passed_to_merge_search(self):
-        star = lv.UnobservedNetwork(
-            ("1", "2", "3", "4"), 1, frozenset({(0, 4), (1, 4), (4, 2), (4, 3)})
-        )
-        with pytest.raises(lv.CapExceeded):
-            lv.recover_tree(lv.complete_census(star), cap=3)
-        assert lv.recover_tree(lv.complete_census(star), cap=4).latent_count == 1
+    def test_seven_by_seven_star_needs_no_cap(self):
+        # 49 initial merge latents, past the merge search's default cap of 40
+        star = star_network(7, 7)
+        meas = lv.complete_census(star)
+        assert initial_latents(meas) > DEFAULT_CAP
+        assert "cap" not in inspect.signature(lv.recover_tree).parameters
+        assert lv.recover_tree(meas) == star
+
+    def test_observed_node_feeding_two_latent_components(self):
+        # a feeds latents A and B, so the sink profiles agree on a spurious
+        # profile; walking up from the sinks never reaches it
+        names = tuple("abcdef")
+        a_parents, a_children, b_parents, b_children = (0, 3, 5), (0, 4, 5), (0, 4), (1, 3)
+        edges = {(i, 6) for i in a_parents} | {(6, j) for j in a_children}
+        edges |= {(i, 7) for i in b_parents} | {(7, j) for j in b_children}
+        g = lv.UnobservedNetwork(names, 2, frozenset(edges))
+        rec = lv.recover_tree(lv.complete_census(g))
+        assert lv.canonical_form(rec).key == lv.canonical_form(g).key
 
     def test_random_hidden_trees(self):
         # >= 100 random tree networks whose latent nodes all have >= 2
         # parents and >= 2 children recover to the exact ground truth
         rng = np.random.default_rng(2000)
-        done = 0
-        while done < 100:
-            g = gen_degree_tree(rng)
-            meas = lv.complete_census(g)
-            init = sum(k * int(s.sum()) for k, s in enumerate(meas.supports))
-            if init > 10:  # keep the merge search snappy
-                continue
-            rec = lv.recover_tree(meas)
+        for _ in range(100):
+            g = gen_degree_tree(rng, m_max=12)
+            rec = lv.recover_tree(lv.complete_census(g))
             assert lv.canonical_form(rec).key == lv.canonical_form(g).key
-            done += 1
+
+
+def reference_recover_tree(meas, cap=DEFAULT_CAP):
+    """``recover_tree`` as it was when it ran the merge search and kept the
+    one minimal network passing the tree and degree filters.  Kept as the
+    reference for the one-pass construction; its body is unchanged."""
+    distance_matrix(meas)
+    keep = []
+    for g in nm(meas, cap):
+        _, a_ol, a_ll, a_lo = g.adjacency_blocks()
+        indeg, outdeg = a_ol.sum(1) + a_ll.sum(1), a_lo.sum(0) + a_ll.sum(0)
+        if _latent_forest(a_ll) and (indeg >= 2).all() and (outdeg >= 2).all():
+            keep.append(g)
+    if len(keep) != 1:
+        raise NotIdentifiable(f"{len(keep)} candidate networks satisfy the tree conditions")
+    return keep[0]
+
+
+def tree_comparison_inputs(count):
+    """Seeded measurements from the three tree-route families, each with at
+    most 12 initial merge latents (the reference's cost is exponential)."""
+    rng = np.random.default_rng(77)
+    draws = [gen_single_path_instance(rng, n_max=6, init_cap=12) for _ in range(count)]
+    for got in filter(None, draws):
+        yield got[1]
+    for gen in (gen_unique_parent_tree, gen_degree_tree):
+        for _ in range(count):
+            meas = lv.complete_census(gen(rng))
+            if initial_latents(meas) <= 12:
+                yield meas
+
+
+class TestRecoverTreeMatchesReference:
+    def test_same_network_or_error_as_the_search(self, monkeypatch):
+        inputs = list(tree_comparison_inputs(count=80))
+        want = [route_outcome(reference_recover_tree, meas) for meas in inputs]
+        # the reference is done with the merge search; the new route never calls it
+        monkeypatch.setattr("latentvar.recover.nm", None)
+        monkeypatch.setattr("latentvar.recover.init_graph", None)
+        got = [route_outcome(lv.recover_tree, meas) for meas in inputs]
+        assert got == want
+        assert len(got) > 140
+        assert {type(o) if isinstance(o, bytes) else o for o in got} == {bytes, NotIdentifiable, lv.AmbiguousDistance}
 
 
 class TestConnectedClasses:
@@ -463,50 +525,54 @@ class TestInitGraph:
             lv.init_graph(ambig_meas, frozenset({0, 1, 2, 3}), cap=4)
 
 
+def int_blocks(g):
+    """g's (obs->latent, latent->latent, latent->obs) blocks in the int64 form nm holds."""
+    return [a.astype(np.int64) for a in g.adjacency_blocks()[1:]]
+
+
+def census_targets(meas):
+    """The S_1.. supports as the boolean targets _blocks_valid compares with."""
+    return [s.astype(bool) for s in meas.supports[1:]]
+
+
 class TestMerge:
     def test_parallel_paths(self):
         g = lv.UnobservedNetwork(
             ("1", "2"), 2, frozenset({(0, 2), (2, 1), (0, 3), (3, 1)})
         )
-        merged = lv.merge(g, 2, 3)
+        merged = UnobservedNetwork.from_blocks(g.observed, *_merge_blocks(*int_blocks(g), 0, 1))
         assert merged.latent_count == 1
         assert merged.edges == frozenset({(0, 2), (2, 1)})
 
     def test_chain_drops_mutual_edge(self):
         g = lv.UnobservedNetwork(("1", "2"), 2, frozenset({(0, 2), (2, 3), (3, 1)}))
-        merged = lv.merge(g, 2, 3)
+        merged = UnobservedNetwork.from_blocks(g.observed, *_merge_blocks(*int_blocks(g), 0, 1))
         assert merged.edges == frozenset({(0, 2), (2, 1)})
 
     def test_observed_set_preserved(self):
         g = lv.UnobservedNetwork(("a", "b"), 2, frozenset({(0, 2), (3, 1)}))
-        merged = lv.merge(g, 2, 3)
-        assert merged.observed == ("a", "b")
-        assert merged.latent_count == 1
-
-    def test_rejects_observed_nodes(self):
-        g = lv.UnobservedNetwork(("a", "b"), 2, frozenset())
-        with pytest.raises(ValueError):
-            lv.merge(g, 0, 2)
+        p, b, q = _merge_blocks(*int_blocks(g), 0, 1)
+        assert p.shape == (1, 2) and b.shape == (1, 1) and q.shape == (2, 1)
 
 
 class TestCheck:
     def test_shortening_required_path_fails(self):
         meas = meas_from_entries(2, [(2, 0, 1)])
         g = lv.init_graph(meas, frozenset({0, 1}))
-        latents = list(g.latent_ids)
-        assert not lv.check(g, latents[0], latents[1], meas)
+        assert not _blocks_valid(*_merge_blocks(*int_blocks(g), 0, 1), census_targets(meas))
 
     def test_ambiguous_example_level_one_merge(self, ambig_meas):
         g = lv.init_graph(ambig_meas, frozenset({0, 1, 2, 3}))
-        # first interior nodes of the two length-3 chains: the latents whose
-        # parent is observed and whose child is another latent
-        heads = {
-            u: v
-            for u, v in g.edges
-            if u < 4 and v >= 4 and any(a == v and b >= 4 for a, b in g.edges)
-        }
-        assert set(heads) == {0, 1}
-        assert lv.check(g, heads[0], heads[1], ambig_meas)
+        targets = census_targets(ambig_meas)
+        # interior nodes of the two length-3 chains 1 -> h -> t -> 4 and
+        # 2 -> h -> t -> 4: the latents next to an observed node and a latent
+        heads = sorted(v - 4 for u, v in g.edges if u < 4 <= v and any(a == v and b >= 4 for a, b in g.edges))
+        tails = sorted(u - 4 for u, v in g.edges if v < 4 <= u and any(b == u and a >= 4 for a, b in g.edges))
+        assert len(heads) == len(tails) == 2
+        # one shared tail keeps a single path per length; one shared head
+        # gives 1 two paths of length 3 to 4
+        assert _blocks_valid(*_merge_blocks(*int_blocks(g), *tails), targets)
+        assert not _blocks_valid(*_merge_blocks(*int_blocks(g), *heads), targets)
 
     def test_cycle_creating_merge_fails(self):
         # 1 -> a -> b -> 2 and 1 -> c -> a; merging b and c makes a 2-cycle
@@ -514,7 +580,7 @@ class TestCheck:
             ("1", "2"), 3, frozenset({(0, 2), (2, 3), (3, 1), (0, 4), (4, 2)})
         )
         meas = lv.complete_census(g)
-        assert not lv.check(g, 3, 4, meas)
+        assert not _blocks_valid(*_merge_blocks(*int_blocks(g), 1, 2), census_targets(meas))
 
 
 class TestNm:
@@ -825,12 +891,11 @@ class TestMergeMatchesEdgeContraction:
             if got is None:
                 continue
             net, _ = got
-            extra = {(0, 1), (1, 1)} if net.n > 1 else set()
-            net = lv.UnobservedNetwork(net.observed, net.latent_count, net.edges | extra)
             for u in net.latent_ids:
                 for v in net.latent_ids:
                     if u != v:
-                        assert lv.merge(net, u, v) == merge_by_edges(net, u, v)
+                        merged = _merge_blocks(*int_blocks(net), u - net.n, v - net.n)
+                        assert UnobservedNetwork.from_blocks(net.observed, *merged) == merge_by_edges(net, u, v)
                         pairs += 1
 
 
@@ -848,21 +913,18 @@ class TestMergeSearchRejectsCycles:
         # nm relies on this instead of a separate acyclicity test: merge graphs
         # keep every latent reachable from an observed node, so a cycle keeps
         # the walk alive and _blocks_valid rejects the merge
-        from latentvar.recover import _blocks_valid
-
         meas = meas_from_entries(4, entries)
-        targets = [s.astype(bool) for s in meas.supports[1:]]
-        frontier = [lv.init_graph(meas, frozenset(range(4)))]
+        targets = census_targets(meas)
+        frontier = [int_blocks(lv.init_graph(meas, frozenset(range(4))))]
         cyclic = 0
         for _level in range(2):
             nxt = []
-            for g in frontier:
-                for u, v in itertools.combinations(g.latent_ids, 2):
-                    merged = lv.merge(g, u, v)
-                    _, *blocks = (a.astype(np.int64) for a in merged.adjacency_blocks())
-                    if not merged.latent_subgraph_is_dag():
+            for blocks in frontier:
+                for x, y in itertools.combinations(range(blocks[1].shape[0]), 2):
+                    merged = _merge_blocks(*blocks, x, y)
+                    if not UnobservedNetwork.from_blocks(meas.names, *merged).latent_subgraph_is_dag():
                         cyclic += 1
-                        assert not _blocks_valid(*blocks, targets)
+                        assert not _blocks_valid(*merged, targets)
                     nxt.append(merged)
             frontier = nxt
         assert cyclic > 0
@@ -871,6 +933,6 @@ class TestMergeSearchRejectsCycles:
 class TestMergeSearchLevels:
     def test_merge_decreases_count_by_one(self, ambig_meas):
         g = lv.init_graph(ambig_meas, frozenset({0, 1, 2, 3}))
-        latents = list(g.latent_ids)
-        merged = lv.merge(g, latents[0], latents[1])
-        assert merged.latent_count == g.latent_count - 1
+        p, b, q = _merge_blocks(*int_blocks(g), 0, 1)
+        assert b.shape == (g.latent_count - 1, g.latent_count - 1)
+        assert p.shape[0] == q.shape[1] == g.latent_count - 1
