@@ -11,7 +11,7 @@ File formats
 * model JSON: the four blocks plus noise variances.
 
 Exit codes: 0 ok, 2 input error, 3 algorithmic failure (condition named on
-stderr).  The environment variable LVL_SEED supplies a default seed.
+stderr).  The environment variable LVL_SEED supplies simulate's default seed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -31,30 +30,6 @@ from . import model as mdl
 from . import recover as rec
 from .errors import InsufficientData, LatentVarError
 from .simulate import DEFAULT_BURN_IN, DrgConfig, TimeSeriesPanel, gen_drg, simulate
-
-
-@dataclass
-class RunConfig:
-    """Resolved command parameters (flags override the config file)."""
-
-    seed: int = 0
-    lag: int | None = None
-    lag_max: int = 8
-    criterion: str = "aic"
-    alpha: float = 0.05
-    cap: int = rec.DEFAULT_CAP
-    mode: str = "dtr"
-    rho12: float | None = None
-    rho22: float | None = None
-    sigma_z2_max: float | None = None
-
-    def priors(self) -> est.BoundPriors | None:
-        given = [self.rho12, self.rho22, self.sigma_z2_max]
-        if all(v is None for v in given):
-            return None
-        if any(v is None for v in given):
-            raise ValueError("--rho12, --rho22 and --sigma-z2-max must be given together")
-        return est.BoundPriors(self.rho12, self.rho22, self.sigma_z2_max)
 
 
 class InputError(Exception):
@@ -140,9 +115,10 @@ def model_from_json(obj: dict) -> tuple[mdl.LatentVarModel, tuple[str, ...]]:
         )
         model = mdl.LatentVarModel(blocks, float(obj["sigma_x2"]), float(obj["sigma_z2"]))
         names = tuple(str(x) for x in obj.get("names", mdl.default_names(model.n)))
-        return model, names
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad model JSON: {exc}") from exc
+    _unique_names(names, "bad model JSON")
+    return model, names
 
 
 def report_to_json(report: est.EstimationReport) -> dict:
@@ -228,11 +204,42 @@ def networks_to_dot(nets: Sequence[mdl.UnobservedNetwork]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config resolution
+# options
 
-#: Every key some command reads through _resolve (one file may serve several commands).
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {
-    "n", "m", "p", "q", "p_obs", "a", "sigma_x2", "sigma_z2", "t_len", "burn_in"}
+#: Every option a config file may set, grouped by the commands that read it:
+#: (flag, key, type, default, help).  A file names an option by its key.
+_OPTIONS = {
+    "simulate": (
+        ("--n", "n", int, 4, "observed node count"),
+        ("--m", "m", int, 2, "latent node count"),
+        ("--p", "p", float, 0.4, "observed<->latent link probability"),
+        ("--q", "q", float, 0.4, "latent->latent link probability"),
+        ("--p-obs", "p_obs", float, None, "observed->observed link probability; None takes p"),
+        ("--a", "a", float, 0.1, "weight half-range"),
+        ("--sigma-x2", "sigma_x2", float, 1.0, "observed noise variance"),
+        ("--sigma-z2", "sigma_z2", float, 1.0, "latent noise variance"),
+        ("--T", "t_len", int, 1000, "samples to keep"),
+        ("--burn-in", "burn_in", int, DEFAULT_BURN_IN, "transient samples to drop"),
+        ("--seed", "seed", int, None, "RNG seed; None takes $LVL_SEED, else 0"),
+    ),
+    "estimation": (
+        ("--lag", "lag", int, None, "fixed fit lag (skips selection)"),
+        ("--lag-max", "lag_max", int, 8, "largest lag tried"),
+        ("--criterion", "criterion", str, "aic", "lag selection rule"),
+        ("--alpha", "alpha", float, 0.05, "significance level"),
+        ("--rho12", "rho12", float, None, "prior bound on the latent-to-observed norm"),
+        ("--rho22", "rho22", float, None, "prior bound (< 1) on the latent-block norm"),
+        ("--sigma-z2-max", "sigma_z2_max", float, None, "prior bound on the latent noise variance"),
+    ),
+    "recovery": (
+        ("--mode", "mode", str, "dtr", "recovery algorithm"),
+        ("--cap", "cap", int, rec.DEFAULT_CAP, "latent budget per connected class, read by --mode nm"),
+    ),
+}
+_CHOICES = {"criterion": ("aic", "fpe"), "mode": ("tree", "dtr", "nm")}
+
+#: Every key some command reads (one file may serve several commands).
+_CONFIG_KEYS = {row[1] for rows in _OPTIONS.values() for row in rows}
 
 
 def _load_config_file(path: str | None) -> dict[str, str]:
@@ -257,121 +264,86 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, key: str, cast, default):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    filecfg = getattr(args, "_filecfg", {})
-    if key in filecfg:
-        try:
-            return cast(filecfg[key])
-        except ValueError as exc:
-            raise InputError(f"config key {key}: {exc}") from exc
-    return default
-
-
-def _default_seed() -> int:
-    env = os.environ.get("LVL_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise InputError(f"LVL_SEED must be an integer, got {env!r}") from exc
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        seed=_resolve(args, "seed", int, _default_seed()),
-        lag=_resolve(args, "lag", int, None),
-        lag_max=_resolve(args, "lag_max", int, 8),
-        criterion=_resolve(args, "criterion", str, "aic"),
-        alpha=_resolve(args, "alpha", float, 0.05),
-        cap=_resolve(args, "cap", int, rec.DEFAULT_CAP),
-        mode=_resolve(args, "mode", str, "dtr"),
-        rho12=_resolve(args, "rho12", float, None),
-        rho22=_resolve(args, "rho22", float, None),
-        sigma_z2_max=_resolve(args, "sigma_z2_max", float, None),
-    )
-    if not 0.0 < cfg.alpha < 1.0:
+def _check_options(args: argparse.Namespace) -> None:
+    """Ranges and allowed values of the options the running command has,
+    whether a flag or a config file set them."""
+    opts = vars(args)
+    if "alpha" in opts and not 0.0 < args.alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
-    if cfg.lag_max < 1 or cfg.cap < 1:
+    if any(opts.get(key, 1) < 1 for key in ("lag_max", "cap")):
         raise InputError("lag-max and cap must be >= 1")
-    if cfg.mode not in ("tree", "dtr", "nm"):
-        raise InputError(f"unknown mode {cfg.mode!r}")
-    if cfg.criterion.lower() not in ("aic", "fpe"):
-        raise InputError(f"unknown criterion {cfg.criterion!r}")
-    return cfg
+    if "mode" in opts and args.mode not in _CHOICES["mode"]:
+        raise InputError(f"unknown mode {args.mode!r}")
+    if "criterion" in opts and args.criterion.lower() not in _CHOICES["criterion"]:
+        raise InputError(f"unknown criterion {args.criterion!r}")
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def _cmd_simulate(args) -> int:
-    cfg = _run_config(args)
-    drg = DrgConfig(
-        n=_resolve(args, "n", int, 4),
-        m=_resolve(args, "m", int, 2),
-        p=_resolve(args, "p", float, 0.4),
-        q=_resolve(args, "q", float, 0.4),
-        p_obs=_resolve(args, "p_obs", float, None),
-        a=_resolve(args, "a", float, 0.1),
-        sigma_x2=_resolve(args, "sigma_x2", float, 1.0),
-        sigma_z2=_resolve(args, "sigma_z2", float, 1.0),
-        seed=cfg.seed,
-    )
-    t_len = _resolve(args, "t_len", int, 1000)
-    burn_in = _resolve(args, "burn_in", int, DEFAULT_BURN_IN)
-    model = gen_drg(drg)
-    panel = simulate(model, t_len, burn_in=burn_in, seed=cfg.seed)
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("LVL_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise InputError(f"LVL_SEED must be an integer, got {env!r}") from exc
+    model = gen_drg(DrgConfig(n=args.n, m=args.m, p=args.p, q=args.q, p_obs=args.p_obs, a=args.a,
+                              sigma_x2=args.sigma_x2, sigma_z2=args.sigma_z2, seed=seed))
+    panel = simulate(model, args.t_len, burn_in=args.burn_in, seed=seed)
     write_json(args.out_model, model_to_json(model))
     write_panel_csv(args.out_panel, panel)
     return 0
 
 
-def _effective_lag(panel: TimeSeriesPanel, cfg: RunConfig) -> int:
-    if cfg.lag is not None:
-        return cfg.lag
-    l_max = cfg.lag_max
+def _effective_lag(panel: TimeSeriesPanel, args) -> int:
+    if args.lag is not None:
+        return args.lag
     feasible = int((panel.t_len / 2 - 1) // panel.n)
     if feasible < 1:
         raise InsufficientData(f"panel too short to select any lag (T={panel.t_len})")
-    return est.select_lag(panel, min(l_max, feasible), cfg.criterion)
+    return est.select_lag(panel, min(args.lag_max, feasible), args.criterion)
 
 
-def _estimate(panel: TimeSeriesPanel, cfg: RunConfig) -> est.EstimationReport:
-    lag = _effective_lag(panel, cfg)
-    report = est.fit_coefficients(panel, lag)
-    est.extract_support(report, cfg.alpha, cfg.priors())
+def _priors(args) -> est.BoundPriors | None:
+    given = [args.rho12, args.rho22, args.sigma_z2_max]
+    if all(v is None for v in given):
+        return None
+    if any(v is None for v in given):
+        raise ValueError("--rho12, --rho22 and --sigma-z2-max must be given together")
+    return est.BoundPriors(*given)
+
+
+def _estimate(panel: TimeSeriesPanel, args) -> est.EstimationReport:
+    report = est.fit_coefficients(panel, _effective_lag(panel, args))
+    est.extract_support(report, args.alpha, _priors(args))
     return report
 
 
 def _cmd_estimate(args) -> int:
-    cfg = _run_config(args)
     panel = read_panel_csv(args.panel)
-    report = _estimate(panel, cfg)
+    report = _estimate(panel, args)
     write_json(args.out_measurements, measurements_to_json(report.supports))
     write_json(args.out_report, report_to_json(report))
     return 0
 
 
-def _recover_networks(meas: mdl.LinearMeasurements, cfg: RunConfig) -> list[mdl.UnobservedNetwork]:
+def _recover_networks(meas: mdl.LinearMeasurements, args) -> list[mdl.UnobservedNetwork]:
     if clash := [s for s in meas.names if s[1:].isdecimal() and s == f"L{int(s[1:])}"]:
         raise InputError(f"observed name {clash[0]!r} has the form L<k> of a latent label")
-    if cfg.mode == "dtr":
+    if args.mode == "dtr":
         return [rec.dtr(meas)]
-    if cfg.mode == "tree":
+    if args.mode == "tree":
         return [rec.recover_tree(meas)]
-    return rec.nm(meas, cap=cfg.cap)
+    return rec.nm(meas, cap=args.cap)
 
 
 def _cmd_recover(args) -> int:
-    cfg = _run_config(args)
     meas = measurements_from_json(read_json(args.measurements))
-    nets = _recover_networks(meas, cfg)
+    nets = _recover_networks(meas, args)
     payload = [network_to_json(g) for g in nets]
-    write_json(args.out, payload if cfg.mode == "nm" else payload[0])
+    write_json(args.out, payload if args.mode == "nm" else payload[0])
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(networks_to_dot(nets))
@@ -379,10 +351,9 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = _run_config(args)
     panel = read_panel_csv(args.panel)
-    report = _estimate(panel, cfg)
-    nets = _recover_networks(report.supports, cfg)
+    report = _estimate(panel, args)
+    nets = _recover_networks(report.supports, args)
     bundle = {
         "report": report_to_json(report),
         "measurements": measurements_to_json(report.supports),
@@ -409,21 +380,6 @@ def _cmd_census(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value file; flags take precedence")
-    sub.add_argument("--seed", type=int, help="RNG seed (default: $LVL_SEED or 0)")
-
-
-def _add_estimation_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--lag", type=int, help="fixed fit lag (skips selection)")
-    sub.add_argument("--lag-max", dest="lag_max", type=int, help="largest lag tried (default 8)")
-    sub.add_argument("--criterion", choices=("aic", "fpe"), help="lag selection rule")
-    sub.add_argument("--alpha", type=float, help="significance level (default 0.05)")
-    sub.add_argument("--rho12", type=float, help="prior bound on the latent-to-observed norm")
-    sub.add_argument("--rho22", type=float, help="prior bound (< 1) on the latent-block norm")
-    sub.add_argument("--sigma-z2-max", dest="sigma_z2_max", type=float, help="prior bound on the latent noise variance")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latentvar",
@@ -431,54 +387,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = subs.add_parser("simulate", help="draw a random model and a trajectory")
-    p_sim.add_argument("--n", type=int, help="observed node count (default 4)")
-    p_sim.add_argument("--m", type=int, help="latent node count (default 2)")
-    p_sim.add_argument("--p", type=float, help="observed<->latent link probability")
-    p_sim.add_argument("--q", type=float, help="latent->latent link probability")
-    p_sim.add_argument("--p-obs", dest="p_obs", type=float, help="observed->observed link probability (default: p)")
-    p_sim.add_argument("--a", type=float, help="weight half-range (default 0.1)")
-    p_sim.add_argument("--sigma-x2", dest="sigma_x2", type=float, help="observed noise variance")
-    p_sim.add_argument("--sigma-z2", dest="sigma_z2", type=float, help="latent noise variance")
-    p_sim.add_argument("--T", dest="t_len", type=int, help="samples to keep (default 1000)")
-    p_sim.add_argument("--burn-in", dest="burn_in", type=int, help="transient samples to drop")
-    p_sim.add_argument("--out-model", default="model.json")
-    p_sim.add_argument("--out-panel", default="panel.csv")
-    _add_common(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
+    def command(name, func, text, *groups) -> argparse.ArgumentParser:
+        sub = subs.add_parser(name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        if groups:
+            sub.add_argument("--config", help="key = value file setting the options below; flags take precedence")
+        for flag, key, type_, default, help_ in (row for group in groups for row in _OPTIONS[group]):
+            sub.add_argument(flag, dest=key, type=type_, default=default, help=help_, choices=_CHOICES.get(key))
+        sub.set_defaults(func=func, parser=sub)
+        return sub
 
-    p_est = subs.add_parser("estimate", help="fit the panel and extract measurement supports")
-    p_est.add_argument("panel", help="input panel CSV")
-    _add_estimation_flags(p_est)
-    p_est.add_argument("--out-measurements", default="measurements.json")
-    p_est.add_argument("--out-report", default="report.json")
-    _add_common(p_est)
-    p_est.set_defaults(func=_cmd_estimate)
+    p = command("simulate", _cmd_simulate, "draw a random model and a trajectory", "simulate")
+    p.add_argument("--out-model", default="model.json", help="model JSON to write")
+    p.add_argument("--out-panel", default="panel.csv", help="panel CSV to write")
 
-    p_rec = subs.add_parser("recover", help="reconstruct unobserved networks from measurements")
-    p_rec.add_argument("measurements", help="input measurements JSON")
-    p_rec.add_argument("--mode", choices=("tree", "dtr", "nm"), help="recovery algorithm (default dtr)")
-    p_rec.add_argument("--cap", type=int, help="latent budget per connected class, read by --mode nm (default 40)")
-    p_rec.add_argument("--dot", help="also write Graphviz DOT here")
-    p_rec.add_argument("--out", default="networks.json")
-    _add_common(p_rec)
-    p_rec.set_defaults(func=_cmd_recover)
+    p = command("estimate", _cmd_estimate, "fit the panel and extract measurement supports", "estimation")
+    p.add_argument("panel", help="input panel CSV")
+    p.add_argument("--out-measurements", default="measurements.json", help="measurements JSON to write")
+    p.add_argument("--out-report", default="report.json", help="report JSON to write")
 
-    p_pipe = subs.add_parser("pipeline", help="estimate then recover in one go")
-    p_pipe.add_argument("panel", help="input panel CSV")
-    _add_estimation_flags(p_pipe)
-    p_pipe.add_argument("--mode", choices=("tree", "dtr", "nm"), help="recovery algorithm (default dtr)")
-    p_pipe.add_argument("--cap", type=int, help="latent budget per connected class, read by --mode nm (default 40)")
-    p_pipe.add_argument("--out", default="pipeline.json")
-    _add_common(p_pipe)
-    p_pipe.set_defaults(func=_cmd_pipeline)
+    p = command("recover", _cmd_recover, "reconstruct unobserved networks from measurements", "recovery")
+    p.add_argument("measurements", help="input measurements JSON")
+    p.add_argument("--dot", help="also write Graphviz DOT here")
+    p.add_argument("--out", default="networks.json", help="network JSON to write")
 
-    p_cen = subs.add_parser("census", help="exact measurements of a model or network JSON")
-    p_cen.add_argument("source", help="model or network JSON")
-    p_cen.add_argument("--out", default="measurements.json")
-    _add_common(p_cen)
-    p_cen.set_defaults(func=_cmd_census)
+    p = command("pipeline", _cmd_pipeline, "estimate then recover in one go", "estimation", "recovery")
+    p.add_argument("panel", help="input panel CSV")
+    p.add_argument("--out", default="pipeline.json", help="bundle JSON to write")
 
+    p = command("census", _cmd_census, "exact measurements of a model or network JSON")
+    p.add_argument("source", help="model or network JSON")
+    p.add_argument("--out", default="measurements.json", help="measurements JSON to write")
     return parser
 
 
@@ -486,21 +424,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._filecfg = _load_config_file(getattr(args, "config", None))
+        filecfg = _load_config_file(getattr(args, "config", None))
+        if filecfg:  # file values become the command's defaults, so flags still win
+            args.parser.set_defaults(**{k: v for k, v in filecfg.items() if hasattr(args, k)})
+            args = parser.parse_args(argv)
+        _check_options(args)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InsufficientData as exc:
-        print(f"InsufficientData: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LatentVarError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+        return 2 if isinstance(exc, InsufficientData) else 3
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -188,6 +188,8 @@ class UnobservedNetwork:
     def __post_init__(self):
         object.__setattr__(self, "observed", tuple(str(x) for x in self.observed))
         object.__setattr__(self, "edges", frozenset((int(u), int(v)) for u, v in self.edges))
+        if self.latent_count < 0:
+            raise ValueError(f"latent_count must be >= 0, got {self.latent_count}")
         total = self.n + self.latent_count
         for u, v in self.edges:
             if not (0 <= u < total and 0 <= v < total):

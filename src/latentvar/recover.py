@@ -36,7 +36,7 @@ from .model import (
     _walk,
     canonical_form,
     consistent,
-    single_path_per_length,
+    latent_path_counts,
 )
 
 #: Initial-graph latent budget per connected class before NM gives up.
@@ -347,6 +347,14 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     return [g for _, g in sorted(combos.items())]
 
 
+def _single_path_consistent(g: UnobservedNetwork, meas: LinearMeasurements) -> bool:
+    """``consistent(g, meas) and single_path_per_length(g)`` from one read of
+    the latent path counts, for a g without observed->observed edges."""
+    counts = latent_path_counts(g)
+    return (all((c <= 1).all() for c in counts[1:])
+            and LinearMeasurements(meas.n, [meas.supports[0], *counts[1:]]) == meas)
+
+
 def _latent_forest(a_ll: np.ndarray) -> bool:
     """Whether the latent skeleton, each directed edge an undirected one, is
     a forest: a multigraph is one iff its edge and component counts sum to
@@ -411,7 +419,7 @@ def recover_tree(meas: LinearMeasurements) -> UnobservedNetwork:
     _, a_ol, a_ll, a_lo = g.adjacency_blocks()
     indeg, outdeg = a_ol.sum(1) + a_ll.sum(1), a_lo.sum(0) + a_ll.sum(0)
     if not (_latent_forest(a_ll) and (indeg >= 2).all() and (outdeg >= 2).all()
-            and consistent(g, meas) and single_path_per_length(g)):
+            and _single_path_consistent(g, meas)):
         raise NotIdentifiable("0 candidate networks satisfy the tree conditions")
     return g
 
@@ -454,7 +462,7 @@ def _enumerate_consistent(meas: LinearMeasurements, m: int) -> list[UnobservedNe
     (i in parents(u), j in children(v)) forces a latent path of every length
     the DAG admits between u and v, so it is allowed only where the matching
     supports are 1; requirements are checked once all pairs that could cover
-    them are assigned.  Survivors are confirmed with consistent().
+    them are assigned.  Survivors are confirmed with the census.
     """
     n = meas.n
     k_meas = meas.max_k
@@ -549,7 +557,7 @@ def _enumerate_consistent(meas: LinearMeasurements, m: int) -> list[UnobservedNe
                 for r, c in zip(*np.nonzero(adj)):
                     edges.add((n + int(c), n + int(r)))
                 g = UnobservedNetwork(meas.names, m, frozenset(edges))
-                if consistent(g, meas) and single_path_per_length(g):
+                if _single_path_consistent(g, meas):
                     solutions.append(g)
                 return
             for p in _submasks(p_allow[z]):

@@ -4,10 +4,10 @@ hand-built ground-truth models chosen so the estimation stage reproduces the
 expected measurement supports."""
 
 import csv
-import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -273,11 +273,15 @@ class TestPanelCsvAgainstPerCellReference:
         assert f"ragged rows: {message}" in capsys.readouterr().err
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def test_cli_imports_only_stdlib_and_numpy():
     # numpy is the only runtime dependency, although more is installed
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env = _src_env()
     code = (
         "import sys; base = set(sys.modules); import latentvar.cli; "
         "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - base}))"
@@ -287,6 +291,18 @@ def test_cli_imports_only_stdlib_and_numpy():
     assert "latentvar" in out
     allowed = set(sys.stdlib_module_names) | {"numpy", "latentvar"}
     assert sorted(set(out) - allowed) == []
+
+
+def test_readme_command_line_block_runs(tmp_path):
+    # the README's examples, run in order, keep its flags in step with the parser
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    lines = [ln for b in blocks for ln in b.replace("\\\n", " ").splitlines() if ln.startswith("latentvar ")]
+    assert len(lines) == 5
+    for line in lines:
+        proc = subprocess.run([sys.executable, "-m", "latentvar.cli", *shlex.split(line)[1:]], cwd=tmp_path,
+                              env=_src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (line, proc.stderr)
 
 
 class TestRecoverCommand:
@@ -444,6 +460,13 @@ class TestCensusCommand:
         obj = json.loads(out.read_text())
         assert obj["supports"] == [[[0, 0], [0, 0]]]
 
+    def test_negative_latent_count_exits_2(self, tmp_path, capsys):
+        # this once exited 2 with the unrelated "max_len must be >= 1"
+        path = tmp_path / "net.json"
+        cli.write_json(str(path), {"observed": ["a", "b"], "latent_count": -1, "edges": []})
+        assert run(["census", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert "bad network JSON: latent_count must be >= 0" in capsys.readouterr().err
+
     def test_cyclic_latent_exits_3(self, tmp_path, capsys):
         blocks = {
             "n": 1, "m": 2, "names": ["x1"],
@@ -492,6 +515,16 @@ class TestObservedNames:
         cli.write_json(str(path), {"n": 2, "names": ["b", "b"], "supports": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]})
         assert run(["recover", str(path), "--out", str(tmp_path / "o.json")]) == 2
         assert "duplicate series name 'b'" in capsys.readouterr().err
+
+    def test_duplicate_model_names_exit_2(self, tmp_path, capsys):
+        # census once passed them through to measurements that recover rejects
+        obj = cli.model_to_json(lv.gen_drg(lv.DrgConfig(n=4, m=2, p=0.6, q=0.6, seed=5)))
+        obj["names"] = ["a", "a", "b", "c"]
+        path, out = tmp_path / "model.json", tmp_path / "meas.json"
+        cli.write_json(str(path), obj)
+        assert run(["census", str(path), "--out", str(out)]) == 2
+        assert "bad model JSON: duplicate series name 'a'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["dtr", "nm", "tree"])
     def test_latent_label_name_exits_2_in_recover(self, tmp_path, capsys, ambig_meas, mode):
@@ -619,8 +652,81 @@ class TestConfigResolution:
         obj = json.loads(report.read_text())
         assert (obj["lag"], obj["alpha"]) == (1, 0.01)
 
-    def test_config_keys_are_the_resolved_keys(self):
-        assert set(re.findall(r'_resolve\(args, "(\w+)"', inspect.getsource(cli))) == cli._CONFIG_KEYS
+    #: a value for each of the 20 config keys, off its default and within its checks
+    KEY_VALUES = {
+        "n": 5, "m": 3, "p": 0.25, "q": 0.3, "p_obs": 0.2, "a": 0.2, "sigma_x2": 2.0, "sigma_z2": 0.5,
+        "t_len": 77, "burn_in": 9, "seed": 11, "lag": 2, "lag_max": 3, "criterion": "fpe", "alpha": 0.01,
+        "rho12": 0.5, "rho22": 0.4, "sigma_z2_max": 1.5, "mode": "nm", "cap": 7,
+    }
+    ESTIMATION = ["lag", "lag_max", "criterion", "alpha", "rho12", "rho22", "sigma_z2_max"]
+    READERS = {
+        "simulate": ["n", "m", "p", "q", "p_obs", "a", "sigma_x2", "sigma_z2", "t_len", "burn_in", "seed"],
+        "estimate": ESTIMATION,
+        "recover": ["mode", "cap"],
+        "pipeline": ESTIMATION + ["mode", "cap"],
+    }
+
+    def test_each_config_key_reaches_the_commands_that_read_it(self, tmp_path, monkeypatch):
+        table_keys = {row[1] for rows in cli._OPTIONS.values() for row in rows}
+        assert cli._CONFIG_KEYS == table_keys == set(self.KEY_VALUES)
+        seen = []
+        for command in self.READERS:
+            monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: seen.append(args) or 0)
+        inputs = {"simulate": [], "estimate": ["p.csv"], "recover": ["m.json"], "pipeline": ["p.csv"]}
+        cfgfile = tmp_path / "run.cfg"
+        for key, value in self.KEY_VALUES.items():
+            cfgfile.write_text(f"{key} = {value}\n")
+            for command, keys in self.READERS.items():
+                assert run([command, *inputs[command], "--config", str(cfgfile)]) == 0
+                args = seen.pop()
+                if key in keys:
+                    assert (getattr(args, key), type(getattr(args, key))) == (value, type(value))
+                else:
+                    assert not hasattr(args, key)
+
+    def test_unparsable_file_value_fails_as_the_flag_would(self, tmp_path, capsys, dairy_csv):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("alpha = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["estimate", dairy_csv, "--config", str(cfgfile)])
+        assert exc.value.code == 2
+        assert "argument --alpha: invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_only_simulate_reads_lvl_seed(self, tmp_path, monkeypatch, capsys, dairy_csv, dairy_meas_json):
+        # a seed no command but simulate reads once failed the other three
+        monkeypatch.setenv("LVL_SEED", "abc")
+        assert run(["estimate", dairy_csv, "--out-measurements", str(tmp_path / "m.json"),
+                    "--out-report", str(tmp_path / "r.json")]) == 0
+        assert run(["recover", dairy_meas_json, "--out", str(tmp_path / "n.json")]) == 0
+        assert run(["pipeline", dairy_csv, "--out", str(tmp_path / "b.json")]) == 0
+        assert run(["simulate", "--T", "30", "--out-model", str(tmp_path / "model.json"),
+                    "--out-panel", str(tmp_path / "p.csv")]) == 2
+        assert "LVL_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_each_command_checks_only_the_options_it_reads(self, tmp_path, dairy_csv, dairy_meas_json):
+        # simulate once rejected a recovery mode it never reads
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("mode = banana\n")
+        assert run(["simulate", "--config", str(cfgfile), "--T", "30", "--out-model", str(tmp_path / "m.json"),
+                    "--out-panel", str(tmp_path / "p.csv")]) == 0
+        assert run(["recover", dairy_meas_json, "--config", str(cfgfile), "--out", str(tmp_path / "o.json")]) == 2
+        cfgfile.write_text("n = abc\n")
+        assert run(["estimate", dairy_csv, "--config", str(cfgfile), "--out-measurements", str(tmp_path / "x.json"),
+                    "--out-report", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "p.csv", "--seed", "1"],
+        ["recover", "m.json", "--seed", "1"],
+        ["pipeline", "p.csv", "--seed", "1"],
+        ["census", "m.json", "--seed", "1"],
+        ["census", "m.json", "--config", "run.cfg"],
+    ])
+    def test_flags_no_command_path_reads_exit_2(self, capsys, argv):
+        # --seed belongs to simulate alone, and census reads no option
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
 
     def test_bad_mode_exits_2(self, tmp_path, dairy_meas_json):
         cfgfile = tmp_path / "run.cfg"

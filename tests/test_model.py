@@ -435,3 +435,9 @@ class TestLinearMeasurements:
     def test_latent_self_loop_rejected(self):
         with pytest.raises(ValueError):
             lv.UnobservedNetwork(("a",), 1, frozenset({(1, 1)}))
+
+    def test_negative_latent_count_rejected(self):
+        # it once built, got a canonical key, and reached the census as an
+        # unrelated "max_len must be >= 1"
+        with pytest.raises(ValueError, match="latent_count must be >= 0"):
+            lv.UnobservedNetwork(("a", "b"), -1)
