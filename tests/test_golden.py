@@ -1,6 +1,6 @@
 """Golden outputs: the merge search's canonical keys (in order), the
-canonical keys of fixed networks, and the estimation path's lag, supports
-and coefficients on fixed inputs, pinned in
+canonical keys of fixed networks, and the estimation path's lag, supports,
+coefficients, residual covariance and standard errors on fixed inputs, pinned in
 ``golden_outputs.json`` so that refactors of the graph core or the
 Yule-Walker path cannot change what the package returns.
 
@@ -130,6 +130,8 @@ def estimation_outputs(panel: lv.TimeSeriesPanel) -> dict:
         meas = lv.extract_support(report)
         out["fits"][str(l)] = {
             "b_hat": [b.tolist() for b in report.b_hat],
+            "entry_stderr": [se.tolist() for se in report.entry_stderr],
+            "residual_cov": report.residual_cov.tolist(),
             "supports": [s.tolist() for s in meas.supports],
         }
     return out
@@ -184,6 +186,11 @@ def test_coefficients_and_supports(golden, panel, lag):
     assert len(report.b_hat) == len(want["b_hat"])
     for b, w in zip(report.b_hat, want["b_hat"]):
         np.testing.assert_allclose(b, np.array(w), rtol=1e-12, atol=0)
+    scale = np.max(np.abs(report.gamma0))
+    np.testing.assert_allclose(report.residual_cov, np.array(want["residual_cov"]), rtol=0, atol=1e-12 * scale)
+    assert len(report.entry_stderr) == len(want["entry_stderr"])
+    for se, w in zip(report.entry_stderr, want["entry_stderr"]):
+        np.testing.assert_allclose(se, np.array(w), rtol=1e-12, atol=0)
     meas = lv.extract_support(report)
     assert [s.tolist() for s in meas.supports] == want["supports"]
 
