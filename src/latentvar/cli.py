@@ -53,10 +53,17 @@ def _unique_names(names: Sequence[str], where: str) -> None:
         raise InputError(f"{where}: duplicate series name {dup!r}")
 
 
+def _count(obj: dict, key: str) -> int:
+    """obj[key] as a count: a JSON integer, so 2.9, 2.0 and true are refused."""
+    if type(obj[key]) is not int:
+        raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
+    return obj[key]
+
+
 def measurements_from_json(obj: dict) -> mdl.LinearMeasurements:
     try:
         meas = mdl.LinearMeasurements(
-            int(obj["n"]),
+            _count(obj, "n"),
             [np.asarray(s) for s in obj["supports"]],
             obj.get("names"),
         )
@@ -78,7 +85,7 @@ def network_to_json(net: mdl.UnobservedNetwork) -> dict:
 def network_from_json(obj: dict) -> mdl.UnobservedNetwork:
     try:
         observed = [str(x) for x in obj["observed"]]
-        m = int(obj["latent_count"])
+        m = _count(obj, "latent_count")
         _unique_names(observed, "bad network JSON")
         index = {name: i for i, name in enumerate(observed)}
         for i in range(m):
@@ -107,11 +114,12 @@ def model_to_json(model: mdl.LatentVarModel, names: Sequence[str] | None = None)
 
 def model_from_json(obj: dict) -> tuple[mdl.LatentVarModel, tuple[str, ...]]:
     try:
+        n, m = _count(obj, "n"), _count(obj, "m")
         blocks = mdl.BlockTransitionMatrix(
-            np.asarray(obj["a11"], dtype=float).reshape(int(obj["n"]), int(obj["n"])),
-            np.asarray(obj["a12"], dtype=float).reshape(int(obj["n"]), int(obj["m"])),
-            np.asarray(obj["a21"], dtype=float).reshape(int(obj["m"]), int(obj["n"])),
-            np.asarray(obj["a22"], dtype=float).reshape(int(obj["m"]), int(obj["m"])),
+            np.asarray(obj["a11"], dtype=float).reshape(n, n),
+            np.asarray(obj["a12"], dtype=float).reshape(n, m),
+            np.asarray(obj["a21"], dtype=float).reshape(m, n),
+            np.asarray(obj["a22"], dtype=float).reshape(m, m),
         )
         model = mdl.LatentVarModel(blocks, float(obj["sigma_x2"]), float(obj["sigma_z2"]))
         names = tuple(str(x) for x in obj.get("names", mdl.default_names(model.n)))
@@ -274,7 +282,7 @@ def _check_options(args: argparse.Namespace) -> None:
         raise InputError("lag-max and cap must be >= 1")
     if "mode" in opts and args.mode not in _CHOICES["mode"]:
         raise InputError(f"unknown mode {args.mode!r}")
-    if "criterion" in opts and args.criterion.lower() not in _CHOICES["criterion"]:
+    if "criterion" in opts and args.criterion not in _CHOICES["criterion"]:
         raise InputError(f"unknown criterion {args.criterion!r}")
 
 

@@ -113,30 +113,35 @@ def block_toeplitz(gammas: Sequence[np.ndarray], l: int) -> np.ndarray:
     return out
 
 
-def _solve_yule_walker(gammas: Sequence[np.ndarray], l: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Gamma(l), [B_0 .. B_l]) from gamma(0..l+1): the lagged covariance,
-    with the ridge fallback applied when it is ill-conditioned, and the
-    stacked coefficients [gamma(1)..gamma(l+1)] Gamma(l)^-1."""
-    big = block_toeplitz(list(gammas[: l + 1]), l)
+def _lagged_fit(
+    gammas: Sequence[np.ndarray], l: int, x: np.ndarray | None = None
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """(Gamma(l), [B_0 .. B_l], Sigma) of the lag-l Yule-Walker fit, read off
+    G = block_toeplitz(gamma(0..l+1), l+1), the covariance of [X(t+1); ..; X(t-l)]:
+    Gamma(l) = G[n:, n:], ridged when ill-conditioned, B = G[:n, n:] Gamma(l)^-1
+    and Sigma = [I, -B] G [I, -B]^T.  Given the centred data x, G becomes
+    (T G - E^T E) / (T - l - 1), E the zero-padded rows [x_u; ..; x_{u-l-1}]
+    for u = 0..l and T..T+l: the Gram of the rows the fit regresses on, so Sigma
+    is the covariance of its one-step-ahead residuals (Lütkepohl 2005, sec. 3.2).
+    """
+    n = gammas[0].shape[0]
+    g = block_toeplitz(list(gammas[: l + 2]), l + 1)
+    big = g[n:, n:]
     cond = np.linalg.cond(big)
     if not np.isfinite(cond) or cond >= COND_LIMIT:
         eps = RIDGE_FACTOR * np.trace(big) / big.shape[0]
         big = big + eps * np.eye(big.shape[0])
         cond = np.linalg.cond(big)
         if not np.isfinite(cond) or cond >= COND_LIMIT:
-            raise SingularCovariance(
-                f"lagged covariance condition number {cond:.3g} after ridge"
-            )
-    stacked = np.hstack(gammas[1 : l + 2])
-    return big, np.linalg.solve(big, stacked.T).T
-
-
-def _residual_cov(x: np.ndarray, coeffs: np.ndarray, l: int) -> np.ndarray:
-    """Covariance of the one-step-ahead residuals of the stacked lag-l fit."""
-    n_eff = x.shape[0] - l - 1
-    design = np.hstack([x[l - k : l - k + n_eff] for k in range(l + 1)])
-    resid = x[l + 1 :] - design @ coeffs.T
-    return (resid.T @ resid) / n_eff
+            raise SingularCovariance(f"lagged covariance condition number {cond:.3g} after ridge")
+    coeffs = np.linalg.solve(big, g[n:, :n]).T
+    if x is not None:
+        k, t_len = l + 1, x.shape[0]
+        edge = np.vstack([np.zeros((k, n)), x[:k], x[-k:], np.zeros((k, n))])
+        e = np.hstack([edge[np.r_[k : 2 * k, 3 * k : 4 * k] - j] for j in range(k + 1)])
+        g = (t_len * g - e.T @ e) / (t_len - k)
+    w = np.hstack([np.eye(n), -coeffs])
+    return big, [coeffs[:, j * n : (j + 1) * n] for j in range(l + 1)], w @ g @ w.T
 
 
 def fit_from_autocovariances(
@@ -148,22 +153,16 @@ def fit_from_autocovariances(
     the population level.  Useful on exact autocovariances, where the result
     matches the probability-limit coefficients.
     """
-    if len(gammas) < l + 2:
-        raise ValueError(f"need gammas 0..{l + 1}")
-    n = gammas[0].shape[0]
-    _, coeffs = _solve_yule_walker(gammas, l)
-    blocks = [coeffs[:, k * n : (k + 1) * n] for k in range(l + 1)]
-    resid = gammas[0] - sum(b @ gammas[k + 1].T for k, b in enumerate(blocks))
-    return blocks, resid
+    return _lagged_fit(gammas, l)[1:]
 
 
 def fit_coefficients(panel: TimeSeriesPanel, l: int) -> EstimationReport:
     """Fit the lag-l coefficient matrix of the observed process.
 
     B-hat comes from the sample Yule-Walker relation
-    [gamma(1)..gamma(l+1)] Gamma(l)^-1; the residual covariance from the
-    actual one-step-ahead residuals; entry standard errors from the diagonal
-    of (Gamma(l)^-1 kron Sigma-hat) / T.
+    [gamma(1)..gamma(l+1)] Gamma(l)^-1; the residual covariance, that of the
+    one-step-ahead residuals, from the lagged moments; entry standard errors
+    from the diagonal of (Gamma(l)^-1 kron Sigma-hat) / T.
     """
     if l < 0:
         raise ValueError("lag must be >= 0")
@@ -172,9 +171,7 @@ def fit_coefficients(panel: TimeSeriesPanel, l: int) -> EstimationReport:
         raise InsufficientData(f"need T > l + 1 = {l + 1}, got T = {t_len}")
     x = _centered(panel)
     gammas = [_autocov_at(x, h) for h in range(l + 2)]
-    big, coeffs = _solve_yule_walker(gammas, l)
-    blocks = tuple(coeffs[:, k * n : (k + 1) * n] for k in range(l + 1))
-    sigma = _residual_cov(x, coeffs, l)
+    big, blocks, sigma = _lagged_fit(gammas, l, x)
 
     inv_big = np.linalg.inv(big)
     col_var = np.diag(inv_big)  # variance factor per stacked regressor
@@ -186,7 +183,7 @@ def fit_coefficients(panel: TimeSeriesPanel, l: int) -> EstimationReport:
         lag=l,
         names=panel.names,
         nobs=t_len,
-        b_hat=blocks,
+        b_hat=tuple(blocks),
         residual_cov=sigma,
         entry_stderr=stderr,
         gamma0=gammas[0],
@@ -214,7 +211,7 @@ def select_lag(panel: TimeSeriesPanel, l_max: int, criterion: str = "aic") -> in
     gammas = [_autocov_at(x, h) for h in range(l_max + 2)]
     best_l, best_score = 1, math.inf
     for l in range(1, l_max + 1):
-        sigma = _residual_cov(x, _solve_yule_walker(gammas, l)[1], l)
+        sigma = _lagged_fit(gammas, l, x)[2]
         sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:
             logdet = -math.inf

@@ -114,8 +114,7 @@ def gen_drg(cfg: DrgConfig) -> LatentVarModel:
         return np.where(mask, rng.uniform(-cfg.a, cfg.a, size=mask.shape), 0.0)
 
     blocks = BlockTransitionMatrix(draw(mask11), draw(mask12), draw(mask21), draw(mask22))
-    full = blocks.full()
-    radius = float(np.max(np.abs(np.linalg.eigvals(full)))) if full.size else 0.0
+    radius = LatentVarModel(blocks, cfg.sigma_x2, cfg.sigma_z2).spectral_radius()
     if radius >= 1.0:
         scale = STABLE_RADIUS / radius
         blocks = BlockTransitionMatrix(

@@ -387,6 +387,17 @@ class TestRecoverCommand:
         path.write_text("{not json")
         assert run(["recover", str(path), "--out", str(tmp_path / "o.json")]) == 2
 
+    @pytest.mark.parametrize("count", [2.9, 2.0, True, "2"])
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, dairy_meas, count):
+        # 2.9 once ran as if n were 2
+        obj = cli.measurements_to_json(dairy_meas)
+        obj["n"] = count
+        path, out = tmp_path / "meas.json", tmp_path / "o.json"
+        cli.write_json(str(path), obj)
+        assert run(["recover", str(path), "--out", str(out)]) == 2
+        assert f"bad measurements JSON: n must be an integer, got {count!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipelineCommand:
     def test_west_german_recovers_expected_network(self, west_german_csv, tmp_path):
@@ -466,6 +477,27 @@ class TestCensusCommand:
         cli.write_json(str(path), {"observed": ["a", "b"], "latent_count": -1, "edges": []})
         assert run(["census", str(path), "--out", str(tmp_path / "o.json")]) == 2
         assert "bad network JSON: latent_count must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [1.7, True, "1"])
+    def test_non_integer_latent_count_exits_2(self, tmp_path, capsys, count):
+        # 1.7 once ran as if the count were 1
+        path, out = tmp_path / "net.json", tmp_path / "o.json"
+        cli.write_json(str(path), {"observed": ["a", "b"], "latent_count": count,
+                                   "edges": [["a", "L0"], ["L0", "b"]]})
+        assert run(["census", str(path), "--out", str(out)]) == 2
+        assert f"bad network JSON: latent_count must be an integer, got {count!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, count", [("n", 3.5), ("m", 2.0), ("n", False)])
+    def test_non_integer_model_count_exits_2(self, tmp_path, capsys, key, count):
+        # n = 3.5 once ran as if n were 3
+        obj = cli.model_to_json(lv.gen_drg(lv.DrgConfig(n=3, m=2, p=0.6, q=0.6, seed=5)))
+        obj[key] = count
+        path, out = tmp_path / "model.json", tmp_path / "o.json"
+        cli.write_json(str(path), obj)
+        assert run(["census", str(path), "--out", str(out)]) == 2
+        assert f"bad model JSON: {key} must be an integer, got {count!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cyclic_latent_exits_3(self, tmp_path, capsys):
         blocks = {
@@ -615,6 +647,20 @@ class TestConfigResolution:
         assert run(["pipeline", dairy_csv, "--config", str(cfgfile), "--out", str(out)]) == 2
         assert f"run.cfg:2: no command reads config key {key!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["AIC", "FpE"])
+    def test_config_criterion_meets_the_flag_choices(self, tmp_path, capsys, dairy_csv, value):
+        # a file value once got round the choices by its letter case
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"criterion = {value}\n")
+        out = tmp_path / "m.json"
+        assert run(["estimate", dairy_csv, "--config", str(cfgfile), "--out-measurements", str(out),
+                    "--out-report", str(tmp_path / "r.json")]) == 2
+        assert f"unknown criterion {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            run(["estimate", dairy_csv, "--criterion", value])
+        assert exc.value.code == 2
 
     def test_a_min_is_not_an_option(self, tmp_path, capsys, dairy_csv):
         # no command path reads a per-lag minimum magnitude

@@ -35,6 +35,41 @@ def population_fit(model, lag):
     return lv.fit_from_autocovariances(gammas, lag)
 
 
+def drg_panel(seed, t_len=2000):
+    model = lv.gen_drg(lv.DrgConfig(n=5, m=4, p=0.4, q=0.4, a=0.3, seed=seed))
+    return lv.simulate(model, t_len, seed=seed)
+
+
+def reference_residual_cov(panel, report):
+    """Covariance of the one-step-ahead residuals of report's fit, taken from
+    the T x n(l+1) design matrix of the lagged data."""
+    x = panel.data - panel.data.mean(axis=0)
+    l = report.lag
+    n_eff = x.shape[0] - l - 1
+    design = np.hstack([x[l - k : l - k + n_eff] for k in range(l + 1)])
+    resid = x[l + 1 :] - design @ np.hstack(report.b_hat).T
+    return (resid.T @ resid) / n_eff
+
+
+def reference_select_lag(panel, l_max, criterion):
+    """select_lag's AIC / FPE loop over the design-matrix residual covariance."""
+    t_len, n = panel.t_len, panel.n
+    best_l, best_score = 1, math.inf
+    for l in range(1, l_max + 1):
+        sigma = reference_residual_cov(panel, lv.fit_coefficients(panel, l))
+        sign, logdet = np.linalg.slogdet(sigma)
+        if sign <= 0:
+            logdet = -math.inf
+        if criterion == "aic":
+            score = logdet + 2.0 * l * n * n / t_len
+        else:
+            ratio = (t_len + n * l + 1) / (t_len - n * l - 1)
+            score = ratio**n * sign * math.exp(logdet)
+        if score < best_score:
+            best_l, best_score = l, score
+    return best_l
+
+
 class TestAutocov:
     def test_constant_panel_is_zero(self):
         panel = lv.TimeSeriesPanel(("a", "b"), np.full((50, 2), 3.0))
@@ -165,6 +200,61 @@ class TestFitCoefficients:
         panel = lv.TimeSeriesPanel(("a", "b"), np.ones((100, 2)))
         with pytest.raises(lv.SingularCovariance):
             lv.fit_coefficients(panel, 1)
+
+
+class TestLaggedMoments:
+    """The residual covariance read off the lagged moments, against the
+    design-matrix residuals of the same fit."""
+
+    @staticmethod
+    def assert_matches_reference(panel, l):
+        report = lv.fit_coefficients(panel, l)
+        scale = np.max(np.abs(report.gamma0))
+        want = reference_residual_cov(panel, report)
+        np.testing.assert_allclose(report.residual_cov, want, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    def test_drg_panels(self, seed, l):
+        self.assert_matches_reference(drg_panel(seed), l)
+
+    def test_ridge_firing_panel(self):
+        panel = drg_panel(11)
+        dup = lv.TimeSeriesPanel(panel.names + ("dup",), np.column_stack([panel.data, panel.data[:, 0]]))
+        gammas = [lv.autocov(dup, h) for h in range(2)]
+        assert np.linalg.cond(lv.block_toeplitz(gammas, 1)) >= lv.estimate.COND_LIMIT
+        self.assert_matches_reference(dup, 1)
+
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    @pytest.mark.parametrize("extra", [2, 3])
+    def test_shortest_panels(self, l, extra):
+        # T = l + 2 leaves one regression row, T = l + 3 two
+        rng = np.random.default_rng(10 * l + extra)
+        self.assert_matches_reference(lv.TimeSeriesPanel(("a", "b"), rng.standard_normal((l + extra, 2))), l)
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_near_unit_root(self, l):
+        blocks = lv.BlockTransitionMatrix(
+            np.diag([0.9999, 0.5]), np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0))
+        )
+        self.assert_matches_reference(lv.simulate(lv.LatentVarModel(blocks), 5000, seed=2), l)
+
+    @pytest.mark.parametrize("criterion", ["aic", "fpe"])
+    def test_select_lag_matches_reference(self, criterion):
+        for seed in range(20):
+            panel = drg_panel(100 + seed, t_len=1000)
+            assert lv.select_lag(panel, 4, criterion) == reference_select_lag(panel, 4, criterion)
+
+    def test_population_residual_is_gamma0_minus_fit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            model = gen_stationary_model(rng)
+            l = int(rng.integers(0, 4))
+            gammas = [lv.population_autocov(model, h) for h in range(l + 2)]
+            assert np.linalg.cond(lv.block_toeplitz(gammas[: l + 1], l)) < lv.estimate.COND_LIMIT
+            blocks, sigma = lv.fit_from_autocovariances(gammas, l)
+            want = gammas[0] - sum(b @ gammas[k + 1].T for k, b in enumerate(blocks))
+            np.testing.assert_allclose(sigma, want, rtol=0, atol=1e-12 * np.max(np.abs(gammas[0])))
 
 
 class TestProp1Bound:
