@@ -1,4 +1,5 @@
 """Golden outputs: the merge search's canonical keys (in order), the
+exhaustive oracle's edge lists (in order) on the same inputs, the
 canonical keys of fixed networks, and the estimation path's lag, supports,
 coefficients, residual covariance and standard errors on fixed inputs, pinned in
 ``golden_outputs.json`` so that refactors of the graph core or the
@@ -21,6 +22,9 @@ GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
 #: Seeds of gen_single_path_instance draws whose nm output is pinned.
 NM_SEEDS = (5001, 5004, 5006, 5007, 5008, 5012, 5013, 5015)
+
+#: Latent budget of the exhaustive oracle on the nm cases.
+ORACLE_M_MAX = 5
 
 #: Seeds of gen_single_path_instance draws whose own canonical key is pinned.
 CANON_SEEDS = (6001, 6002, 6003, 6004, 6005, 6006, 6007, 6008)
@@ -117,6 +121,10 @@ def nm_keys(meas: lv.LinearMeasurements) -> list[str]:
     return [lv.canonical_form(g).key.decode() for g in lv.nm(meas)]
 
 
+def oracle_edges(meas: lv.LinearMeasurements) -> list[str]:
+    return [repr(sorted(g.edges)) for g in lv.oracle_minimal(meas, ORACLE_M_MAX)]
+
+
 def golden_panel() -> lv.TimeSeriesPanel:
     model = lv.gen_drg(lv.DrgConfig(**PANEL_CFG))
     return lv.simulate(model, PANEL_T, seed=PANEL_CFG["seed"])
@@ -144,6 +152,7 @@ def compute_golden() -> dict:
             name: lv.canonical_form(g).key.decode() for name, g in canonical_cases().items()
         },
         "estimation": estimation_outputs(golden_panel()),
+        "exhaustive": {name: oracle_edges(meas) for name, meas in nm_cases().items()},
     }
 
 
@@ -160,6 +169,11 @@ def panel() -> lv.TimeSeriesPanel:
 @pytest.mark.parametrize("name", ["ambiguity", *(f"single_path_{s}" for s in NM_SEEDS)])
 def test_nm_keys_in_order(golden, name):
     assert nm_keys(nm_cases()[name]) == golden["nm"][name]
+
+
+@pytest.mark.parametrize("name", ["ambiguity", *(f"single_path_{s}" for s in NM_SEEDS)])
+def test_oracle_edge_lists_in_order(golden, name):
+    assert oracle_edges(nm_cases()[name]) == golden["exhaustive"][name]
 
 
 @pytest.mark.parametrize("name", sorted(canonical_cases()))
