@@ -113,6 +113,12 @@ def block_toeplitz(gammas: Sequence[np.ndarray], l: int) -> np.ndarray:
     return out
 
 
+def _cond(lam: np.ndarray) -> float:
+    """Condition number of a symmetric matrix from its ascending eigenvalues;
+    inf unless it is positive definite (Python floats overflow to inf silently)."""
+    return float(lam[-1]) / float(lam[0]) if lam[0] > 0 else math.inf
+
+
 def _lagged_fit(
     gammas: Sequence[np.ndarray], l: int, x: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -127,12 +133,11 @@ def _lagged_fit(
     n = gammas[0].shape[0]
     g = block_toeplitz(list(gammas[: l + 2]), l + 1)
     big = g[n:, n:]
-    cond = np.linalg.cond(big)
-    if not np.isfinite(cond) or cond >= COND_LIMIT:
+    lam = np.linalg.eigvalsh(big)  # ascending; the ridge shifts each by eps
+    if _cond(lam) >= COND_LIMIT:
         eps = RIDGE_FACTOR * np.trace(big) / big.shape[0]
         big = big + eps * np.eye(big.shape[0])
-        cond = np.linalg.cond(big)
-        if not np.isfinite(cond) or cond >= COND_LIMIT:
+        if (cond := _cond(lam + eps)) >= COND_LIMIT:
             raise SingularCovariance(f"lagged covariance condition number {cond:.3g} after ridge")
     coeffs = np.linalg.solve(big, g[n:, :n]).T
     if x is not None:

@@ -60,6 +60,8 @@ class BlockTransitionMatrix:
         object.__setattr__(self, "a12", _as_matrix(self.a12, n, m, "a12"))
         object.__setattr__(self, "a21", _as_matrix(self.a21, m, n, "a21"))
         object.__setattr__(self, "a22", a22)
+        if not np.isfinite(self.full()).all():
+            raise ValueError("transition blocks must have finite entries")
 
     @property
     def n(self) -> int:
@@ -83,8 +85,8 @@ class LatentVarModel:
     sigma_z2: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_x2 <= 0 or self.sigma_z2 <= 0:
-            raise ValueError("noise variances must be positive")
+        if not (0 < self.sigma_x2 < np.inf and 0 < self.sigma_z2 < np.inf):  # NaN fails too
+            raise ValueError("noise variances must be positive and finite")
 
     @property
     def n(self) -> int:

@@ -36,7 +36,6 @@ from .model import (
     _walk,
     canonical_form,
     consistent,
-    latent_path_counts,
 )
 
 #: Initial-graph latent budget per connected class before NM gives up.
@@ -235,7 +234,8 @@ def _blocks_valid(p, b, q, supports) -> bool:
     the observed nodes dies within the latent count (so no latent reachable
     from an observed node lies on a cycle).  Past the supports only
     reachability matters, so the walk saturates at 1 there, which keeps the
-    counts of a cyclic graph from overflowing."""
+    counts of a cyclic graph from overflowing.  The one census check of nm,
+    recover_tree and the oracle; int64 blocks, as boolean ones cap counts at 1."""
     m = b.shape[0]
     reach = p
     for s in supports:
@@ -347,18 +347,10 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     return [g for _, g in sorted(combos.items())]
 
 
-def _single_path_consistent(g: UnobservedNetwork, meas: LinearMeasurements) -> bool:
-    """``consistent(g, meas) and single_path_per_length(g)`` from one read of
-    the latent path counts, for a g without observed->observed edges."""
-    counts = latent_path_counts(g)
-    return (all((c <= 1).all() for c in counts[1:])
-            and LinearMeasurements(meas.n, [meas.supports[0], *counts[1:]]) == meas)
-
-
 def _latent_forest(a_ll: np.ndarray) -> bool:
-    """Whether the latent skeleton, each directed edge an undirected one, is
-    a forest: a multigraph is one iff its edge and component counts sum to
-    its node count."""
+    """Whether the latent skeleton of the boolean block a_ll, each directed
+    edge an undirected one, is a forest: a multigraph is one iff its edge
+    and component counts sum to its node count."""
     return a_ll.sum() + len(_components(a_ll)) == len(a_ll)
 
 
@@ -384,7 +376,7 @@ def recover_tree(meas: LinearMeasurements) -> UnobservedNetwork:
     capped at sum_k k |S_k| members, the initial merge graph's latent count,
     which bounds any consistent tree's.  Raises NotIdentifiable past the cap
     or when the network fails the tree filter (latent forest, two parents and
-    children per latent), ``consistent`` or ``single_path_per_length``, and
+    children per latent, checked first) or _blocks_valid's census, and
     AmbiguousDistance when no tree can give the measurements.
     """
     d = distance_matrix(meas)
@@ -416,10 +408,10 @@ def recover_tree(meas: LinearMeasurements) -> UnobservedNetwork:
         if node >= meas.n:
             edges.update((i, node) for i, k in a if k == 1)
     g = UnobservedNetwork(meas.names, len(latent), frozenset(edges))
-    _, a_ol, a_ll, a_lo = g.adjacency_blocks()
-    indeg, outdeg = a_ol.sum(1) + a_ll.sum(1), a_lo.sum(0) + a_ll.sum(0)
-    if not (_latent_forest(a_ll) and (indeg >= 2).all() and (outdeg >= 2).all()
-            and _single_path_consistent(g, meas)):
+    _, p, b, q = (a.astype(np.int64) for a in g.adjacency_blocks())
+    indeg, outdeg = p.sum(1) + b.sum(1), q.sum(0) + b.sum(0)
+    if not (_latent_forest(b > 0) and (indeg >= 2).all() and (outdeg >= 2).all()
+            and _blocks_valid(p, b, q, meas.supports[1:])):
         raise NotIdentifiable("0 candidate networks satisfy the tree conditions")
     return g
 
@@ -462,7 +454,8 @@ def _enumerate_consistent(meas: LinearMeasurements, m: int) -> list[UnobservedNe
     (i in parents(u), j in children(v)) forces a latent path of every length
     the DAG admits between u and v, so it is allowed only where the matching
     supports are 1; requirements are checked once all pairs that could cover
-    them are assigned.  Survivors are confirmed with the census.
+    them are assigned.  Survivors are confirmed by _blocks_valid on their
+    int64 blocks, and only they become networks.
     """
     n = meas.n
     k_meas = meas.max_k
@@ -543,22 +536,14 @@ def _enumerate_consistent(meas: LinearMeasurements, m: int) -> list[UnobservedNe
         pmask = [0] * m
         qmask = [0] * m
         covered = [False] * len(required)
+        a_ll = adj.astype(np.int64)  # strictly lower-triangular: a latent DAG
 
         def backtrack(z: int):
             if z == m:
-                edges = set()
-                for zz in range(m):
-                    for i in range(n):
-                        if pmask[zz] >> i & 1:
-                            edges.add((i, n + zz))
-                    for j in range(n):
-                        if qmask[zz] >> j & 1:
-                            edges.add((n + zz, j))
-                for r, c in zip(*np.nonzero(adj)):
-                    edges.add((n + int(c), n + int(r)))
-                g = UnobservedNetwork(meas.names, m, frozenset(edges))
-                if _single_path_consistent(g, meas):
-                    solutions.append(g)
+                a_ol = np.array(pmask)[:, None] >> np.arange(n) & 1  # [z, i]: edge i -> z
+                a_lo = np.array(qmask) >> np.arange(n)[:, None] & 1  # [j, z]: edge z -> j
+                if _blocks_valid(a_ol, a_ll, a_lo, meas.supports[1:]):
+                    solutions.append(UnobservedNetwork.from_blocks(meas.names, a_ol, a_ll, a_lo))
                 return
             for p in _submasks(p_allow[z]):
                 if p == 0 and indeg[z] == 0:

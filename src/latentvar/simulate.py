@@ -52,10 +52,10 @@ class DrgConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.p_obs is not None and not 0.0 <= self.p_obs <= 1.0:
             raise ValueError("p_obs must lie in [0, 1]")
-        if self.a <= 0:
-            raise ValueError("weight half-range a must be positive")
-        if self.sigma_x2 <= 0 or self.sigma_z2 <= 0:
-            raise ValueError("noise variances must be positive")
+        if not 0 < self.a < np.inf:  # NaN fails too
+            raise ValueError(f"weight half-range a must be positive and finite, got {self.a}")
+        if not (0 < self.sigma_x2 < np.inf and 0 < self.sigma_z2 < np.inf):
+            raise ValueError("noise variances must be positive and finite")
 
     @property
     def obs_link_prob(self) -> float:

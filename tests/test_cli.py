@@ -109,6 +109,22 @@ class TestSimulateCommand:
             run(["simulate", "--n", "not-a-number"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--a", "nan", "weight half-range a must be positive and finite, got nan"),
+        ("--a", "inf", "weight half-range a must be positive and finite, got inf"),
+        ("--sigma-x2", "nan", "noise variances must be positive and finite"),
+        ("--sigma-z2", "inf", "noise variances must be positive and finite"),
+    ])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, flag, value, message):
+        # a non-finite a once crashed rng.uniform with an OverflowError, and a
+        # non-finite variance was only caught as a non-finite panel
+        out = tmp_path / "model.json"
+        code = run(["simulate", "--n", "3", "--m", "1", flag, value, "--T", "50", "--seed", "1",
+                    "--out-model", str(out), "--out-panel", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestEstimateCommand:
     def test_dairy_fixture_supports(self, dairy_csv, tmp_path):
@@ -497,6 +513,23 @@ class TestCensusCommand:
         cli.write_json(str(path), obj)
         assert run(["census", str(path), "--out", str(out)]) == 2
         assert f"bad model JSON: {key} must be an integer, got {count!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, message", [
+        ("a12", "transition blocks must have finite entries"),
+        ("sigma_x2", "noise variances must be positive and finite"),
+    ])
+    def test_nan_model_entry_exits_2(self, tmp_path, capsys, key, message):
+        # a NaN a12 entry once dropped its latent path from the census, exit 0
+        obj = cli.model_to_json(lv.gen_drg(lv.DrgConfig(n=3, m=2, p=0.6, q=0.6, seed=5)))
+        if key == "a12":
+            obj["a12"][0][0] = float("nan")
+        else:
+            obj[key] = float("nan")
+        path, out = tmp_path / "model.json", tmp_path / "o.json"
+        cli.write_json(str(path), obj)  # json writes NaN, and reads it back
+        assert run(["census", str(path), "--out", str(out)]) == 2
+        assert f"bad model JSON: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cyclic_latent_exits_3(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 
 import latentvar as lv
 from latentvar.errors import InconsistentRecovery, NotIdentifiable
-from latentvar.model import UnobservedNetwork, consistent
+from latentvar.model import LinearMeasurements, UnobservedNetwork, consistent, latent_path_counts
 from latentvar.recover import (
     DEFAULT_CAP,
     _blocks_valid,
@@ -389,6 +389,53 @@ class TestRecoverTreeMatchesReference:
         assert got == want
         assert len(got) > 140
         assert {type(o) if isinstance(o, bytes) else o for o in got} == {bytes, NotIdentifiable, lv.AmbiguousDistance}
+
+
+def reference_single_path_consistent(g, meas):
+    """The census check recover_tree and the oracle ran before both moved to
+    _blocks_valid: ``consistent(g, meas) and single_path_per_length(g)`` from
+    one read of the latent path counts.  Kept as the reference; body unchanged."""
+    counts = latent_path_counts(g)
+    return (all((c <= 1).all() for c in counts[1:])
+            and LinearMeasurements(meas.n, [meas.supports[0], *counts[1:]]) == meas)
+
+
+def one_edge_toggles(g):
+    """g with one edge added or removed, for every pair but observed ->
+    observed and latent self-loops, where the latent part stays a DAG."""
+    nodes = range(g.n + g.latent_count)
+    for u, v in itertools.product(nodes, nodes):
+        if u != v and max(u, v) >= g.n:
+            h = UnobservedNetwork(g.observed, g.latent_count, g.edges ^ {(u, v)})
+            if h.latent_subgraph_is_dag():
+                yield h
+
+
+class TestBlocksValidMatchesReference:
+    # Only latent DAGs are compared.  On a latent cycle the reference raises
+    # CyclicLatent, while _blocks_valid returns False, or True when no observed
+    # node reaches the cycle; neither caller hands it one: recover_tree runs
+    # its forest test first and the oracle's latent shapes are strictly
+    # lower-triangular.
+    @pytest.mark.parametrize("family", ["single_path", "degree_tree"])
+    def test_networks_and_their_one_edge_perturbations(self, family):
+        rng = np.random.default_rng(91)
+        if family == "single_path":
+            bases = [got[0] for got in (gen_single_path_instance(rng, n_max=6, init_cap=12) for _ in range(30)) if got]
+        else:
+            bases = [gen_degree_tree(rng, m_max=5) for _ in range(20)]
+        outcomes, multi = [], 0
+        for g in bases:
+            meas = lv.complete_census(g)
+            for h in [g, *one_edge_toggles(g)]:
+                multi += not lv.single_path_per_length(h)
+                # h against g's census, and g against h's
+                for net, target in ((h, meas), (g, lv.complete_census(h))):
+                    want = reference_single_path_consistent(net, target)
+                    assert _blocks_valid(*int_blocks(net), target.supports[1:]) == want
+                    outcomes.append(want)
+        assert len(outcomes) > 1000 and multi > 0
+        assert {True, False} <= set(outcomes)
 
 
 class TestConnectedClasses:

@@ -53,6 +53,27 @@ class TestGenDrg:
         assert model.spectral_radius() < 1.0
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("field", ["a", "sigma_x2", "sigma_z2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_drg_config(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lv.DrgConfig(n=2, m=1, p=0.5, q=0.5, **{field: value})
+
+    @pytest.mark.parametrize("sigmas", [(np.nan, 1.0), (1.0, np.inf)])
+    def test_model_variances(self, sigmas):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lv.LatentVarModel(scalar_ar1().blocks, *sigmas)
+
+    @pytest.mark.parametrize("block", range(4))
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_transition_blocks(self, block, value):
+        blocks = [np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 1))]
+        blocks[block][0, 0] = value
+        with pytest.raises(ValueError, match="finite entries"):
+            lv.BlockTransitionMatrix(*blocks)
+
+
 class TestSimulate:
     def test_white_noise_autocovariance_vanishes(self):
         blocks = lv.BlockTransitionMatrix(
