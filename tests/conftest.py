@@ -106,6 +106,27 @@ def gen_unique_parent_tree(
     return lv.UnobservedNetwork(names, m, frozenset(edges))
 
 
+def parallel_latents(k: int) -> lv.UnobservedNetwork:
+    """a -> k parallel latents -> one join latent w -> b: k latent paths of
+    length 3 from a to b."""
+    lat = range(2, 2 + k)
+    w = 2 + k
+    edges = {(0, z) for z in lat} | {(z, w) for z in lat} | {(w, 1)}
+    return lv.UnobservedNetwork(("a", "b"), k + 1, frozenset(edges))
+
+
+def diamond_chain(t: int) -> lv.UnobservedNetwork:
+    """a -> t diamonds of two latents, each closed by a join latent -> b:
+    3t latents and 2**t latent paths of length 2t + 1 from a to b."""
+    edges, prev = set(), 0
+    for d in range(t):
+        u, v, join = 2 + 3 * d, 3 + 3 * d, 4 + 3 * d
+        edges |= {(prev, u), (prev, v), (u, join), (v, join)}
+        prev = join
+    edges.add((prev, 1))
+    return lv.UnobservedNetwork(("a", "b"), 3 * t, frozenset(edges))
+
+
 def gen_single_path_instance(rng: np.random.Generator, n_max: int = 5, init_cap: int = 8):
     """Random latent-DAG network with single-multiplicity paths, small enough
     for the exhaustive search; returns (network, measurements) or None."""

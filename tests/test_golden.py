@@ -1,6 +1,7 @@
 """Golden outputs: the merge search's canonical keys (in order), the
 exhaustive oracle's edge lists (in order) on the same inputs, the
-canonical keys of fixed networks, and the estimation path's lag, supports,
+canonical keys of fixed networks and their complete censuses, and the
+estimation path's lag, supports,
 coefficients, residual covariance and standard errors on fixed inputs, pinned in
 ``golden_outputs.json`` so that refactors of the graph core or the
 Yule-Walker path cannot change what the package returns.
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import latentvar as lv
-from conftest import gen_single_path_instance
+from conftest import diamond_chain, gen_single_path_instance, parallel_latents
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -110,6 +111,20 @@ def canonical_cases() -> dict[str, lv.UnobservedNetwork]:
     return cases
 
 
+def census_cases() -> dict[str, lv.UnobservedNetwork]:
+    """The canonical cases plus two networks whose path counts pass uint8
+    and int64: 256 parallel latents and a chain of 64 latent diamonds."""
+    return {**canonical_cases(), "parallel_256": parallel_latents(256), "diamond_chain_64": diamond_chain(64)}
+
+
+def census_supports(g: lv.UnobservedNetwork) -> list | str:
+    """complete_census(g).supports as lists, or "CyclicLatent" when it raises that."""
+    try:
+        return [s.tolist() for s in lv.complete_census(g).supports]
+    except lv.CyclicLatent:
+        return "CyclicLatent"
+
+
 def relabel_latents(g: lv.UnobservedNetwork, perm) -> lv.UnobservedNetwork:
     n = g.n
     f = {n + z: n + int(p) for z, p in enumerate(perm)}
@@ -151,6 +166,7 @@ def compute_golden() -> dict:
         "canonical": {
             name: lv.canonical_form(g).key.decode() for name, g in canonical_cases().items()
         },
+        "census": {name: census_supports(g) for name, g in census_cases().items()},
         "estimation": estimation_outputs(golden_panel()),
         "exhaustive": {name: oracle_edges(meas) for name, meas in nm_cases().items()},
     }
@@ -183,6 +199,11 @@ def test_canonical_keys(golden, name):
     assert lv.canonical_form(g).key.decode() == want
     perm = np.random.default_rng(len(name)).permutation(g.latent_count)
     assert lv.canonical_form(relabel_latents(g, perm)).key.decode() == want
+
+
+@pytest.mark.parametrize("name", sorted(census_cases()))
+def test_census_supports(golden, name):
+    assert census_supports(census_cases()[name]) == golden["census"][name]
 
 
 def test_selected_lags(golden, panel):
