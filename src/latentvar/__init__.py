@@ -39,11 +39,9 @@ from .model import (
     complete_census,
     consistent,
     default_names,
-    latent_path_counts,
     network_of,
     nilpotency_index,
     path_census,
-    single_path_per_length,
     true_linear_measurements,
 )
 from .recover import (

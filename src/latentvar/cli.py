@@ -10,6 +10,8 @@ File formats
   where latent nodes are called "L0" .. "L{m-1}", never an observed name.
 * model JSON: the four blocks plus noise variances.
 
+Names (``names``, ``observed``) are JSON arrays of strings.
+
 Exit codes: 0 ok, 2 input error, 3 algorithmic failure (condition named on
 stderr).  The environment variable LVL_SEED supplies simulate's default seed.
 """
@@ -60,12 +62,20 @@ def _count(obj: dict, key: str) -> int:
     return obj[key]
 
 
+def _names(obj: dict, key: str) -> list[str]:
+    """obj[key] as names: a JSON array of strings, so "ab" is not read as 'a', 'b'."""
+    names = obj[key]
+    if type(names) is not list or not all(type(x) is str for x in names):
+        raise ValueError(f"{key} must be an array of strings, got {names!r}")
+    return names
+
+
 def measurements_from_json(obj: dict) -> mdl.LinearMeasurements:
     try:
         meas = mdl.LinearMeasurements(
             _count(obj, "n"),
             [np.asarray(s) for s in obj["supports"]],
-            obj.get("names"),
+            _names(obj, "names") if "names" in obj else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad measurements JSON: {exc}") from exc
@@ -84,7 +94,7 @@ def network_to_json(net: mdl.UnobservedNetwork) -> dict:
 
 def network_from_json(obj: dict) -> mdl.UnobservedNetwork:
     try:
-        observed = [str(x) for x in obj["observed"]]
+        observed = _names(obj, "observed")
         m = _count(obj, "latent_count")
         _unique_names(observed, "bad network JSON")
         index = {name: i for i, name in enumerate(observed)}
@@ -122,7 +132,7 @@ def model_from_json(obj: dict) -> tuple[mdl.LatentVarModel, tuple[str, ...]]:
             np.asarray(obj["a22"], dtype=float).reshape(m, m),
         )
         model = mdl.LatentVarModel(blocks, float(obj["sigma_x2"]), float(obj["sigma_z2"]))
-        names = tuple(str(x) for x in obj.get("names", mdl.default_names(model.n)))
+        names = tuple(_names(obj, "names")) if "names" in obj else mdl.default_names(model.n)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad model JSON: {exc}") from exc
     _unique_names(names, "bad model JSON")

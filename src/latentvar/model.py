@@ -296,10 +296,7 @@ def _walk(a11, a12, a21, a22) -> list[np.ndarray]:
     """``[A11, A12 A21, A12 A22 A21, .., A12 A22^(l-1) A21]`` with l the
     nilpotency index of A22; raises CyclicLatent when A22 has none.
 
-    On int64 network blocks entry ``[k][j, i]`` counts the directed paths
-    ``i -> j`` of length ``k + 1`` whose interior is all latent.  A DAG path
-    is fixed by its set of interior nodes, so counts stay below 2**m and
-    int64 holds them exactly up to m = 62 latent nodes.
+    Boolean network blocks give path existence, which cannot overflow.
     """
     walk = [a11]
     path = a21
@@ -334,34 +331,13 @@ def path_census(network: UnobservedNetwork, max_len: int) -> LinearMeasurements:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    counts = latent_path_counts(network)[:max_len]
-    return LinearMeasurements(network.n, [c != 0 for c in counts], network.observed)
+    a_oo, a_ol, a_ll, a_lo = network.adjacency_blocks()
+    return LinearMeasurements(network.n, _walk(a_oo, a_lo, a_ol, a_ll)[:max_len], network.observed)
 
 
 def complete_census(network: UnobservedNetwork) -> LinearMeasurements:
     """Census at the network's own maximum possible path length."""
     return path_census(network, network.latent_count + 1)
-
-
-def latent_path_counts(network: UnobservedNetwork) -> list[np.ndarray]:
-    """Exact number of distinct latent paths per (target, source) and length.
-
-    Entry ``[k][j, i]`` (k = 0..m) counts paths ``i -> j`` of length ``k + 1``
-    with all-latent interior (k = 0 is the plain adjacency).  Lets callers
-    check the single-path-per-length condition the merge search relies on.
-    Counts are int64 up to m = 62 (see _walk), Python ints above it.
-    Raises CyclicLatent when the latent subgraph has a cycle.
-    """
-    m = network.latent_count
-    dtype = np.int64 if m <= 62 else object
-    a_oo, a_ol, a_ll, a_lo = (a.astype(np.int64).astype(dtype) for a in network.adjacency_blocks())
-    walk = _walk(a_oo, a_lo, a_ol, a_ll)
-    return (walk + [np.zeros_like(walk[0])] * m)[: m + 1]
-
-
-def single_path_per_length(network: UnobservedNetwork) -> bool:
-    """True when no ordered observed pair has two latent paths of equal length."""
-    return all((c <= 1).all() for c in latent_path_counts(network)[1:])
 
 
 def consistent(network: UnobservedNetwork, meas: LinearMeasurements) -> bool:

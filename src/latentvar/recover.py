@@ -11,9 +11,9 @@ Three recovery routes plus a small-scale exhaustive oracle:
                       directed tree whose latent nodes all have two parents
                       and two children, built in one pass from the latent
                       path lengths (no search).
-* ``oracle_minimal`` -- exhaustive enumeration, the test oracle for the two
-                      search algorithms (the underlying minimization is
-                      NP-hard, so scale limits are enforced).
+* ``oracle_minimal`` -- exhaustive enumeration, the test oracle for ``nm``
+                      and ``recover_tree``'s census check (the underlying
+                      minimization is NP-hard, so scale limits are enforced).
 """
 
 from __future__ import annotations
@@ -473,9 +473,9 @@ def _enumerate_consistent(meas: LinearMeasurements, m: int) -> list[UnobservedNe
     solutions: list[UnobservedNetwork] = []
 
     for adj in _latent_dags_up_to_iso(m):
-        # paths[d] = adj^d counts latent paths of d edges: the walk with A12 = A21 = I
-        eye = np.eye(m, dtype=np.int64)
-        paths = _walk(eye, eye, eye, adj.astype(np.int64))[1:]
+        # paths[d][v, u]: a latent path u -> v of d edges, the walk with A12 = A21 = I
+        eye = np.eye(m, dtype=bool)
+        paths = _walk(eye, eye, eye, adj)[1:]
         depth: dict[tuple[int, int], list[int]] = {}
         for u in range(m):
             for v in range(m):

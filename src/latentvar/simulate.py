@@ -75,6 +75,8 @@ class TimeSeriesPanel:
             raise ValueError("data must be a T x n matrix")
         if data.shape[0] < 1:
             raise ValueError("panel needs at least one sample")
+        if data.shape[1] < 1:
+            raise ValueError("panel needs at least one series")
         if data.shape[1] != len(self.names):
             raise ValueError("number of columns must match names")
         if not np.isfinite(data).all():

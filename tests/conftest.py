@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import latentvar as lv
+from latentvar.model import _walk
 
 AMBIG_NAMES = ("1", "2", "3", "4")
 
@@ -106,6 +107,28 @@ def gen_unique_parent_tree(
     return lv.UnobservedNetwork(names, m, frozenset(edges))
 
 
+def latent_path_counts(network: lv.UnobservedNetwork) -> list[np.ndarray]:
+    """Exact number of distinct latent paths per (target, source) and length.
+
+    Entry ``[k][j, i]`` (k = 0..m) counts paths ``i -> j`` of length ``k + 1``
+    with all-latent interior (k = 0 is the plain adjacency).  A DAG path is
+    fixed by its set of interior nodes, so counts stay below 2**m: int64 up
+    to m = 62, Python ints above it.  The count reference of the tests; the
+    package's census reads path existence off boolean blocks instead.
+    Raises CyclicLatent when the latent subgraph has a cycle.
+    """
+    m = network.latent_count
+    dtype = np.int64 if m <= 62 else object
+    a_oo, a_ol, a_ll, a_lo = (a.astype(np.int64).astype(dtype) for a in network.adjacency_blocks())
+    walk = _walk(a_oo, a_lo, a_ol, a_ll)
+    return (walk + [np.zeros_like(walk[0])] * m)[: m + 1]
+
+
+def single_path_per_length(network: lv.UnobservedNetwork) -> bool:
+    """True when no ordered observed pair has two latent paths of equal length."""
+    return all((c <= 1).all() for c in latent_path_counts(network)[1:])
+
+
 def parallel_latents(k: int) -> lv.UnobservedNetwork:
     """a -> k parallel latents -> one join latent w -> b: k latent paths of
     length 3 from a to b."""
@@ -149,7 +172,7 @@ def gen_single_path_instance(rng: np.random.Generator, n_max: int = 5, init_cap:
                     edges.add((n + z, i))
         names = tuple(str(i + 1) for i in range(n))
         net = lv.UnobservedNetwork(names, m, frozenset(edges))
-        if not lv.single_path_per_length(net):
+        if not single_path_per_length(net):
             continue
         meas = lv.complete_census(net)
         if not meas.has_latent_paths() or meas.max_k > 4:

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,14 @@ class TestSimulateCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_no_series_exits_2(self, tmp_path, capsys):
+        # it once wrote a header-less panel that estimate refused
+        code = run(["simulate", "--n", "0", "--m", "1", "--T", "50", "--seed", "1",
+                    "--out-model", str(tmp_path / "m.json"), "--out-panel", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: panel needs at least one series\n"
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestEstimateCommand:
@@ -307,6 +316,27 @@ def test_cli_imports_only_stdlib_and_numpy():
     assert "latentvar" in out
     allowed = set(sys.stdlib_module_names) | {"numpy", "latentvar"}
     assert sorted(set(out) - allowed) == []
+
+
+PUBLIC_NAMES = [
+    "AmbiguousDistance", "BlockTransitionMatrix", "BoundPriors", "CanonicalForm", "CapExceeded",
+    "CyclicLatent", "DEFAULT_CAP", "DrgConfig", "EstimationReport", "InconsistentRecovery",
+    "InsufficientData", "LatentVarError", "LatentVarModel", "LinearMeasurements", "NodeProfile",
+    "NonStationary", "NotIdentifiable", "ScaleExceeded", "SingularCovariance", "TimeSeriesPanel",
+    "UnobservedNetwork", "autocov", "block_toeplitz", "canonical_form", "complete_census",
+    "compute_ml_ratio", "connected_classes", "consistent", "default_names", "distance_matrix",
+    "dtr", "extract_support", "fit_coefficients", "fit_from_autocovariances", "gen_drg",
+    "init_graph", "network_of", "nilpotency_index", "nm", "node_profiles", "oracle_minimal",
+    "path_census", "population_autocov", "population_covariance", "prop1_bound", "recover_tree",
+    "recoverability_check", "select_lag", "simulate", "true_linear_measurements", "unique_parents",
+]
+
+
+def test_public_names_are_pinned():
+    # an added or removed export shows up in this list's diff; submodules
+    # are left out, as importing latentvar.cli adds one
+    got = sorted(k for k, v in vars(lv).items() if not k.startswith("_") and not isinstance(v, types.ModuleType))
+    assert got == PUBLIC_NAMES
 
 
 def test_readme_command_line_block_runs(tmp_path):
@@ -628,6 +658,24 @@ class TestObservedNames:
         # an observed name past the latent labels is no clash
         net = cli.network_from_json({"observed": ["L1", "x"], "latent_count": 1, "edges": [["x", "L0"], ["L0", "L1"]]})
         assert net.edges == frozenset({(1, 2), (2, 0)})
+
+    @pytest.mark.parametrize("names", ["ab", ["a", 1], None, {"a": 0}])
+    @pytest.mark.parametrize("kind", ["measurements", "network", "model"])
+    def test_names_must_be_an_array_of_strings(self, tmp_path, capsys, kind, names):
+        # a string was once split into one name per character
+        if kind == "measurements":
+            obj, key, cmd = {"n": 2, "names": names, "supports": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}, "names", "recover"
+        elif kind == "network":
+            obj, key, cmd = {"observed": names, "latent_count": 1, "edges": [["a", "L0"], ["L0", "b"]]}, "observed", "census"
+        else:
+            obj = cli.model_to_json(lv.gen_drg(lv.DrgConfig(n=2, m=1, p=0.6, q=0.6, seed=5)))
+            obj["names"] = names
+            key, cmd = "names", "census"
+        path = tmp_path / "in.json"
+        cli.write_json(str(path), obj)
+        assert run([cmd, str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert f"bad {kind} JSON: {key} must be an array of strings" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
     def test_non_square_supports_exit_2(self, tmp_path, capsys):
         path = tmp_path / "meas.json"

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 import latentvar as lv
-from conftest import canon_keys, gen_latent_digraph, gen_single_path_instance, gen_stationary_model
+from conftest import (
+    canon_keys,
+    diamond_chain,
+    gen_degree_tree,
+    gen_latent_digraph,
+    gen_single_path_instance,
+    gen_stationary_model,
+    gen_unique_parent_tree,
+    latent_path_counts,
+    parallel_latents,
+)
 
 
 def chain_model(a11=0.0, a21=0.5, a12=0.5, sigma_x2=1.0, sigma_z2=1.0):
@@ -176,8 +186,9 @@ class TestPathCensus:
 
 
 def brute_force_path_counts(net: lv.UnobservedNetwork) -> list[np.ndarray]:
-    """Reference for latent_path_counts: enumerate every path i -> .. -> j
-    with all-latent interior by depth-first search over the edge list."""
+    """Enumerate every path i -> .. -> j with all-latent interior by
+    depth-first search over the edge list: the reference for conftest's
+    latent_path_counts and for path_census."""
     n, m = net.n, net.latent_count
     children = {v: sorted(net.children(v)) for v in range(n + m)}
     counts = [np.zeros((n, n), dtype=np.int64) for _ in range(m + 1)]
@@ -222,10 +233,12 @@ class TestPathCountsAgainstEnumeration:
     def test_counts_and_census_match_dfs(self, seed):
         rng = np.random.default_rng(700 + seed)
         multi_path = multi_parent = 0
-        for _ in range(40):
-            net = gen_latent_dag_network(rng)
+        nets = [gen_latent_dag_network(rng) for _ in range(40)]
+        nets += [gen_degree_tree(rng, m_max=10) for _ in range(10)]
+        nets += [gen_unique_parent_tree(rng) for _ in range(10)]
+        for net in nets:
             want = brute_force_path_counts(net)
-            got = lv.latent_path_counts(net)
+            got = latent_path_counts(net)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
@@ -242,11 +255,8 @@ class TestPathCountsAgainstEnumeration:
     def test_counts_past_uint8(self):
         # 0 -> 256 parallel latents -> w -> 1: S_2[1, 0] has 256 paths, which
         # a uint8 walk wraps to zero
-        lat = range(2, 258)
-        w = 258
-        edges = {(0, z) for z in lat} | {(z, w) for z in lat} | {(w, 1)}
-        net = lv.UnobservedNetwork(("a", "b"), 257, frozenset(edges))
-        assert lv.latent_path_counts(net)[2][1, 0] == 256
+        net = parallel_latents(256)
+        assert latent_path_counts(net)[2][1, 0] == 256
         meas = lv.path_census(net, 3)
         assert meas.max_k == 2
         assert meas.supports[2].tolist() == [[0, 0], [1, 0]]
@@ -254,14 +264,8 @@ class TestPathCountsAgainstEnumeration:
     def test_counts_past_int64(self):
         # a -> 64 diamonds of two latents, each closed by a join latent -> b:
         # 192 latents and 2**64 paths of length 129, which an int64 walk wraps to zero
-        edges, prev = set(), 0
-        for t in range(64):
-            u, v, join = 2 + 3 * t, 3 + 3 * t, 4 + 3 * t
-            edges |= {(prev, u), (prev, v), (u, join), (v, join)}
-            prev = join
-        edges.add((prev, 1))
-        net = lv.UnobservedNetwork(("a", "b"), 192, frozenset(edges))
-        assert lv.latent_path_counts(net)[128][1, 0] == 2**64
+        net = diamond_chain(64)
+        assert latent_path_counts(net)[128][1, 0] == 2**64
         meas = lv.complete_census(net)
         assert meas.max_k == 128
         assert meas.supports[128].tolist() == [[0, 0], [1, 0]]
@@ -269,7 +273,9 @@ class TestPathCountsAgainstEnumeration:
     def test_cyclic_latent_rejected(self):
         net = lv.UnobservedNetwork(("1",), 2, frozenset({(0, 1), (1, 2), (2, 1), (2, 0)}))
         with pytest.raises(lv.CyclicLatent):
-            lv.latent_path_counts(net)
+            latent_path_counts(net)
+        with pytest.raises(lv.CyclicLatent):
+            lv.path_census(net, 2)
 
 
 class TestFromBlocks:
@@ -337,7 +343,7 @@ class TestLatentDagAgainstKahn:
             assert net.latent_subgraph_is_dag() == want
             if want:
                 dag += 1
-                assert len(lv.latent_path_counts(net)) == net.latent_count + 1
+                lv.complete_census(net)
             else:
                 cyclic += 1
                 with pytest.raises(lv.CyclicLatent):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import latentvar as lv
 from latentvar import cli
+from conftest import single_path_per_length
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -34,7 +35,7 @@ def single_path_networks(draw, m_max=10, n_max=15):
     edges = {(n + a, n + b) for a, b in chain if rank[a] < rank[b]}
     edges |= {(i, n + z) for i, z in into} | {(n + z, j) for z, j in out} | set(direct)
     net = lv.UnobservedNetwork(tuple(f"x{i}" for i in range(n)), m, frozenset(edges))
-    assume(lv.single_path_per_length(net))
+    assume(single_path_per_length(net))
     return net
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import latentvar as lv
 from latentvar.errors import InconsistentRecovery, NotIdentifiable
-from latentvar.model import LinearMeasurements, UnobservedNetwork, consistent, latent_path_counts
+from latentvar.model import LinearMeasurements, UnobservedNetwork, consistent
 from latentvar.recover import (
     DEFAULT_CAP,
     _blocks_valid,
@@ -32,7 +32,9 @@ from conftest import (
     gen_latent_digraph,
     gen_single_path_instance,
     gen_unique_parent_tree,
+    latent_path_counts,
     matches_tree_recovery,
+    single_path_per_length,
 )
 
 
@@ -428,7 +430,7 @@ class TestBlocksValidMatchesReference:
         for g in bases:
             meas = lv.complete_census(g)
             for h in [g, *one_edge_toggles(g)]:
-                multi += not lv.single_path_per_length(h)
+                multi += not single_path_per_length(h)
                 # h against g's census, and g against h's
                 for net, target in ((h, meas), (g, lv.complete_census(h))):
                     want = reference_single_path_consistent(net, target)
@@ -743,7 +745,7 @@ def catalogue_stream(rng):
                 if rng.random() < 0.3:
                     edges.add((n + z, i))
         net = UnobservedNetwork(tuple(str(i + 1) for i in range(n)), m, frozenset(edges))
-        if not lv.single_path_per_length(net):
+        if not single_path_per_length(net):
             continue
         meas = lv.complete_census(net)
         init = sum(k * int(s.sum()) for k, s in enumerate(meas.supports))
@@ -894,7 +896,7 @@ class TestOracleMinimal:
         checked = 0
         while checked < 10:
             g = gen_unique_parent_tree(rng, n_max=5, m_max=3)
-            if not lv.single_path_per_length(g):
+            if not single_path_per_length(g):
                 continue
             meas = lv.complete_census(g)
             if meas.max_k > 4 or not meas.has_latent_paths():

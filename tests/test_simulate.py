@@ -193,6 +193,11 @@ class TestPanelValidation:
         with pytest.raises(ValueError):
             lv.TimeSeriesPanel(("a",), np.array([[np.nan]]))
 
+    def test_rejects_no_series(self):
+        # estimation once failed on it with a bare IndexError
+        with pytest.raises(ValueError, match="panel needs at least one series"):
+            lv.TimeSeriesPanel((), np.zeros((10, 0)))
+
     def test_rejects_name_mismatch(self):
         with pytest.raises(ValueError):
             lv.TimeSeriesPanel(("a", "b"), np.zeros((3, 1)))
