@@ -27,6 +27,13 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(n))
 
 
+def name_tuple(names: Sequence[str], key: str) -> tuple[str, ...]:
+    """names as a tuple of str; a bare str is refused, not split into characters."""
+    if isinstance(names, str):
+        raise ValueError(f"{key} must be a sequence of strings, got {names!r}")
+    return tuple(str(x) for x in names)
+
+
 def _as_matrix(a, rows: int, cols: int, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != (rows, cols):
@@ -146,7 +153,7 @@ class LinearMeasurements:
             m_.flags.writeable = False
         if names is None:
             names = default_names(n)
-        names = tuple(str(x) for x in names)
+        names = name_tuple(names, "names")
         if len(names) != n:
             raise ValueError("names must have length n")
         self.names = names
@@ -188,7 +195,7 @@ class UnobservedNetwork:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "observed", tuple(str(x) for x in self.observed))
+        object.__setattr__(self, "observed", name_tuple(self.observed, "observed"))
         object.__setattr__(self, "edges", frozenset((int(u), int(v)) for u, v in self.edges))
         if self.latent_count < 0:
             raise ValueError(f"latent_count must be >= 0, got {self.latent_count}")

@@ -438,6 +438,15 @@ class TestLinearMeasurements:
         b = lv.LinearMeasurements(2, [np.eye(2, dtype=int)], ("c", "d"))
         assert a == b  # names are labels, not structure
 
+    def test_string_names_rejected(self):
+        # a bare str was once split into its characters, ("a", "b")
+        with pytest.raises(ValueError, match="names must be a sequence of strings, got 'ab'"):
+            lv.LinearMeasurements(2, [np.zeros((2, 2))], "ab")
+
+    def test_string_observed_rejected(self):
+        with pytest.raises(ValueError, match="observed must be a sequence of strings, got 'ab'"):
+            lv.UnobservedNetwork("ab", 0)
+
     def test_latent_self_loop_rejected(self):
         with pytest.raises(ValueError):
             lv.UnobservedNetwork(("a",), 1, frozenset({(1, 1)}))

@@ -1,10 +1,13 @@
 """Random model generation, simulation, and population covariance tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import latentvar as lv
 from conftest import gen_stationary_model
+from latentvar.simulate import DEFAULT_BURN_IN
 
 
 def scalar_ar1(a=0.5, sigma2=1.0):
@@ -105,6 +108,96 @@ class TestSimulate:
         assert panel.data.shape == (25, 3)
         assert panel.names == ("x1", "x2", "x3")
 
+    def test_string_names_rejected(self):
+        with pytest.raises(ValueError, match="names must be a sequence of strings"):
+            lv.simulate(scalar_ar1(), 5, names="a")
+
+
+def reference_simulate(model, t_len, burn_in=DEFAULT_BURN_IN, seed=0):
+    """The one-step-per-sample loop that simulate replaced, kept as its reference."""
+    n, m = model.n, model.m
+    full = model.blocks.full()
+    rng = np.random.default_rng(seed)
+    scale = np.concatenate(
+        [np.full(n, np.sqrt(model.sigma_x2)), np.full(m, np.sqrt(model.sigma_z2))]
+    )
+    noise = rng.standard_normal((burn_in + t_len, n + m)) * scale
+    out = np.empty((burn_in + t_len, n))
+    state = np.zeros(n + m)
+    for t in range(burn_in + t_len):
+        state = full @ state + noise[t]
+        out[t] = state[:n]
+    return out[burn_in:]
+
+
+def observed_only(a11):
+    n = len(a11)
+    blocks = lv.BlockTransitionMatrix(a11, np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0)))
+    return lv.LatentVarModel(blocks)
+
+
+def rotation(radius, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return observed_only(radius * np.array([[c, -s], [s, c]]))
+
+
+REFERENCE_MODELS = {
+    "near_unit_root": scalar_ar1(0.999),
+    "rotation": rotation(0.995, 0.3),
+    # powers grow to ~1e8 before they decay
+    "non_normal": observed_only(0.9 * np.eye(7) + np.triu(np.full((7, 7), 3.0), 1)),
+    "latent": lv.gen_drg(lv.DrgConfig(n=3, m=4, p=0.6, q=0.6, a=0.5, seed=2)),
+}
+
+
+class TestSimulateAgainstStepReference:
+    """simulate sums the recursion in chunks; the one-step loop is the reference."""
+
+    @staticmethod
+    def assert_close(model, t_len, burn_in, seed):
+        got = lv.simulate(model, t_len, burn_in=burn_in, seed=seed).data
+        want = reference_simulate(model, t_len, burn_in=burn_in, seed=seed)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    # k = isqrt(N): chunks of one sample (N <= 3), more chunks than samples
+    # per chunk (99 = 11 * 9), one square (100), and a leftover tail of one
+    # sample (101) or many (20500 = 143 * 143 + 51)
+    @pytest.mark.parametrize("total", [1, 2, 3, 99, 100, 101, 20500])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+    def test_no_burn_in(self, name, total):
+        self.assert_close(REFERENCE_MODELS[name], total, 0, total)
+
+    def test_burn_in_inside_a_chunk(self):
+        self.assert_close(REFERENCE_MODELS["latent"], 90, 11, 4)
+
+    def test_drg_40_40(self):
+        model = lv.gen_drg(lv.DrgConfig(n=40, m=40, p=0.4, q=0.4, a=0.1, seed=3))
+        self.assert_close(model, 20_000, DEFAULT_BURN_IN, 3)
+
+    def test_zero_transition_returns_scaled_noise_bytes(self):
+        # the RNG stream and the noise scaling are those of the reference
+        blocks = lv.BlockTransitionMatrix(
+            np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((2, 3)), np.zeros((2, 2))
+        )
+        model = lv.LatentVarModel(blocks, sigma_x2=2.0, sigma_z2=3.0)
+        got = lv.simulate(model, 101, burn_in=10, seed=6).data
+        noise = np.random.default_rng(6).standard_normal((111, 5)) * np.sqrt([2.0] * 3 + [3.0] * 2)
+        assert got.tobytes() == np.ascontiguousarray(noise[10:, :3]).tobytes()
+
+    def test_traced_memory_peak(self):
+        # noise 12.5 MiB, output 6.3 MiB and the observed rows of the powers
+        # 3.5 MiB; one more full-size copy of the noise would cross the bound
+        model = lv.gen_drg(lv.DrgConfig(n=40, m=40, p=0.4, q=0.4, a=0.1, seed=5))
+        lv.simulate(model, 20_000, seed=5)
+        tracemalloc.start()
+        try:
+            lv.simulate(model, 20_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
 
 class TestPopulationCovariance:
     def test_zero_transition_gives_noise_cov(self):
@@ -201,3 +294,8 @@ class TestPanelValidation:
     def test_rejects_name_mismatch(self):
         with pytest.raises(ValueError):
             lv.TimeSeriesPanel(("a", "b"), np.zeros((3, 1)))
+
+    def test_rejects_string_names(self):
+        # a bare str was once split into its characters, ("a", "b")
+        with pytest.raises(ValueError, match="names must be a sequence of strings, got 'ab'"):
+            lv.TimeSeriesPanel("ab", np.zeros((3, 2)))
