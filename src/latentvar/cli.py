@@ -2,8 +2,13 @@
 
 File formats
 ------------
-* panel CSV: first row series names, then one row per time step (UTF-8,
-  comma separator, decimal point).
+* panel CSV: first row series names, then one row per time step.  UTF-8,
+  with or without a byte order mark; csv's default dialect: comma
+  separator, double-quote quoting, LF, CRLF or CR line ends.  Names are
+  stripped of surrounding space, and must be non-empty and unique.  Each
+  cell is a float() literal that is finite.  A plain file (no quote, LF or
+  CRLF line ends only, no blank line) is parsed by numpy, with the same
+  values and errors as csv gives.
 * measurements JSON: ``{"n": int, "names": [...], "supports": [S_0, S_1, ...]}``
   with each S_k a row-major 0/1 matrix.
 * network JSON: ``{"observed": [names], "latent_count": m, "edges": [[src, dst], ...]}``
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -170,22 +176,64 @@ def read_json(path: str) -> dict:
 
 def write_panel_csv(path: str, panel: TimeSeriesPanel) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(panel.names)
-        writer.writerows(panel.data.tolist())  # csv writes floats with repr
+        csv.writer(fh).writerow(panel.names)  # names may need quoting
+        # the bytes csv writes: each float as its repr, never quoted, CRLF
+        # after each row.  row.tolist() gives Python floats (numpy 2 reprs a
+        # float64 as np.float64(...)), one row at a time, so no copy of the
+        # whole panel is held.
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in panel.data)
 
 
 def read_panel_csv(path: str) -> TimeSeriesPanel:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
     except OSError as exc:
         raise InputError(str(exc)) from exc
+    panel = _plain_panel(text)
+    return panel if panel is not None else _csv_panel(path, text)
+
+
+def _plain_panel(text: str) -> TimeSeriesPanel | None:
+    """The panel of a plain file, read by numpy's parser; None for any other.
+
+    A plain file has no quote, no line end but LF and CRLF, a header, no
+    empty line (one final newline aside) and unique, non-empty names.  csv
+    splits such a file into the same cells, and numpy rounds each float()
+    literal as float() does.  numpy also strips \\x1c-\\x1f around a number,
+    which float() refuses, so a file holding one is not plain.  A file numpy
+    refuses, or reads into another shape, is left to the csv path, which
+    alone words the error.
+    """
+    if any(c in text for c in '"\x1c\x1d\x1e\x1f') or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.split("\n")  # a line keeps its CRLF's \r: strip() and numpy drop it
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or "" in lines or "\r" in lines:
+        return None
+    names = [c.strip() for c in lines[0].split(",")]
+    if "" in names or len(set(names)) < len(names):
+        return None
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2, dtype=float)
+        if data.shape != (len(lines) - 1, len(names)):
+            return None
+        return TimeSeriesPanel(tuple(names), data)
+    except ValueError:
+        return None
+
+
+def _csv_panel(path: str, text: str) -> TimeSeriesPanel:
+    """The panel of any file csv reads, with an error naming what is wrong."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one sample")
     names = [c.strip() for c in rows[0]]
     if not names:
         raise InputError(f"{path}: header names no series")
+    if "" in names:
+        raise InputError(f"{path}: header column {names.index('') + 1} has an empty series name")
     _unique_names(names, path)
     for r, row in enumerate(rows[1:], 2):
         if len(row) != len(names):

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -241,30 +242,162 @@ def reference_read_cells(path) -> np.ndarray:
     return np.array([[float(c) for c in row] for row in rows[1:]], dtype=float)
 
 
+def read_outcome(path: str):
+    """read_panel_csv's names and data bytes, or the text of its InputError."""
+    try:
+        panel = cli.read_panel_csv(path)
+    except cli.InputError as exc:
+        return str(exc)
+    return panel.names, panel.data.tobytes()
+
+
+def read_both_paths(path: str, monkeypatch) -> tuple:
+    """read_outcome as read_panel_csv gives it, and with numpy's path
+    declining every file, so that only the csv path reads it."""
+    fast = read_outcome(path)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_plain_panel", lambda text: None)
+        return fast, read_outcome(path)
+
+
+def refuse_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader was reached")
+
+
+def random_panel_lines(rng, formats) -> list[str]:
+    values = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-20, 20, (300, 3))
+    return [",".join(formats[rng.integers(len(formats))].format(v) for v in row) for row in values.tolist()]
+
+
+#: Files where numpy's parser and csv + float() could part ways.  Each reads
+#: the same on both paths: the same names and data, or the same error.
+TRAP_PANELS = [
+    "a\n1.0\n \n2.0\n",  # whitespace-only row at n = 1
+    "a\n1.0\n\t\n2.0\n",
+    "a,b\n1.0\x0c,2.0\n\x0c3.0,4.0\n",
+    "a,b\n1.0\x85,2.0\n3.0,\x854.0\n",
+    "a,b\n1.0\u2028,2.0\n3.0,4.0\n",
+    "a,b\n1.0\x00,2.0\n3.0,4.0\n",
+    "a,b\n1.0\x1c,2.0\n3.0,4.0\n",  # numpy strips \x1c-\x1f, float() refuses them
+    "a,b\n1.0,\x1f2.0\n3.0,4.0\n",
+    "a,b\n1_0,2.0\n3.0,4.0\n",
+    "a,b\n\u0663,2.0\n3.0,4.0\n",  # Arabic-Indic three
+    "a,b\r1.0,2.0\r3.0,4.0\r",  # lone CR line ends
+    "a,b\r\n1.0,2.0\r3.0,4.0\r\n",
+    "a,b\r\n1.0,2.0\r\n3.0,4.0\r\n",
+    "a,b\n1.0,2.0\n3.0,4.0",  # no final newline
+    "a,b\n1.0,2.0\n\n3.0,4.0\n",  # blank line
+    "a,b\n1.0,2.0\n3.0,4.0\n\n",  # final blank line
+    "a,b\r\n1.0,2.0\r\n\r\n",
+    "a,b\n\n\n",  # a body of blank lines, which numpy would warn of
+    "a,b\r\n\r\n\r\n",
+    "a,b\n1.0,2.0\n3.0\n",  # ragged
+    "a,b\n1.0,2.0,3.0\n4.0\n",  # ragged, with rows x n cells in all
+    "a,b\n#1.0,2.0\n3.0,4.0\n",
+    "a,b\n1.0,2.0\n#3.0,4.0\n",
+    "a,b\nTrue,2.0\n3.0,4.0\n",
+    "a,b\n-inf,2.0\n3.0,4.0\n",
+    "a,b\n1e999,2.0\n3.0,4.0\n",
+    "a,b\n1.0,2.0\n3.0\r4.0\n",
+    "a\rb,c\n1.0,2.0\n",  # csv ends the header at the CR
+    "a,b,\n1.0,2.0,3.0\n",  # empty series name
+    " ,b\n1.0,2.0\n",
+    "a,a \n1.0,2.0\n",
+    "a,b\n",
+    "",
+    "\n\n",
+    "\ufeffa,b\r\n1.0,2.0\r\n",  # UTF-8 byte order mark
+    'a,"b"\n1.0,2.0\n',
+]
+
+
 class TestPanelCsvAgainstPerCellReference:
     def test_write_bytes(self, tmp_path):
         rng = np.random.default_rng(11)
         data = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4))
         data[0] = [-0.0, 5e-324, 1e308, -1e308]
         data[1] = [0.0, -5e-324, 2.2250738585072014e-308, 0.1]
-        panel = lv.TimeSeriesPanel(("a", "b", "c", "d"), data)
+        panel = lv.TimeSeriesPanel(("a,b", 'x"y', " lead", "d"), data)  # two names csv quotes
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         cli.write_panel_csv(str(got), panel)
         reference_write_panel_csv(str(want), panel)
         assert got.read_bytes() == want.read_bytes()
-        assert cli.read_panel_csv(str(got)).data.tobytes() == data.tobytes()
+        back = cli.read_panel_csv(str(got))
+        assert back.names == ("a,b", 'x"y', "lead", "d")
+        assert back.data.tobytes() == data.tobytes()
+
+    def test_written_panel_does_not_reach_csv_reader(self, tmp_path, monkeypatch):
+        panel = lv.TimeSeriesPanel(("a", "b", "c"), np.random.default_rng(13).standard_normal((300, 3)))
+        path = tmp_path / "p.csv"
+        cli.write_panel_csv(str(path), panel)
+        monkeypatch.setattr(cli.csv, "reader", refuse_csv_reader)
+        assert cli.read_panel_csv(str(path)).data.tobytes() == panel.data.tobytes()
+
+    def test_write_holds_no_copy_of_the_panel(self, tmp_path):
+        # peak_rss_mb on cli-pipeline counts what the set-up's writes hold:
+        # a list of the whole 20000 x 12 panel took 8.6 MiB, one string 14.1
+        data = np.random.default_rng(14).standard_normal((20000, 12))
+        panel = lv.TimeSeriesPanel(tuple("abcdefghijkl"), data)
+        tracemalloc.start()
+        try:
+            cli.write_panel_csv(str(tmp_path / "p.csv"), panel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_read_bit_identical(self, tmp_path):
         rng = np.random.default_rng(12)
         formats = ("{!r}", "{:.17g}", "{:.3e}", " {} ", "\t{:.6f}", '"{!r}"')
-        lines = ["a, b ,c", " 1.5 ,1_000,-0.0", "+7,1_0.5e1_0, 5e-324"]
-        for row in (rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-20, 20, (300, 3))).tolist():
-            lines.append(",".join(formats[rng.integers(len(formats))].format(v) for v in row))
+        lines = ["a, b ,c", " 1.5 ,1_000,-0.0", "+7,1_0.5e1_0, 5e-324", *random_panel_lines(rng, formats)]
         path = tmp_path / "p.csv"
         path.write_text("\n".join(lines) + "\n")
         panel = cli.read_panel_csv(str(path))
         assert panel.names == ("a", "b", "c")
         assert panel.data.tobytes() == reference_read_cells(str(path)).tobytes()
+
+    def test_read_bit_identical_on_numpy_path(self, tmp_path, monkeypatch):
+        # the randomized file without quotes or underscores, which numpy reads
+        rng = np.random.default_rng(12)
+        formats = ("{!r}", "{:.17g}", "{:.3e}", " {} ", "\t{:.6f}", "{:.40e}")
+        text = "\n".join(["a, b ,c", " 1.5 ,-0.0,+7", "5e-324, 1e308 ,-2.2250738585072014e-308",
+                          *random_panel_lines(rng, formats)]) + "\n"
+        assert cli._plain_panel(text) is not None
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        fast, general = read_both_paths(str(path), monkeypatch)
+        assert fast == general == (("a", "b", "c"), reference_read_cells(str(path)).tobytes())
+
+    @pytest.mark.parametrize("text", TRAP_PANELS)
+    def test_read_paths_agree(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        fast, general = read_both_paths(str(path), monkeypatch)
+        assert fast == general
+
+    @pytest.mark.parametrize(
+        "char",
+        [c for c in map(chr, range(0x3001)) if c.isspace()] + ["\x00", "\u200b", "\ufeff"],
+        ids=lambda c: f"U+{ord(c):04X}",
+    )
+    def test_read_paths_agree_around_spaces(self, tmp_path, monkeypatch, char):
+        path = tmp_path / "p.csv"
+        path.write_bytes(f"{char}a,b{char}\n{char}1.5,2.0{char}\n3.0,{char}4.0\n".encode())
+        fast, general = read_both_paths(str(path), monkeypatch)
+        assert fast == general
+
+    def test_utf8_bom_is_not_part_of_a_name(self, tmp_path, monkeypatch):
+        # Excel's "CSV UTF-8" starts the file with a byte order mark
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\r\n1.5,2.0\r\n3.0,4.0\r\n")
+        fast, general = read_both_paths(str(path), monkeypatch)
+        assert fast == general == (("a", "b"), np.array([[1.5, 2.0], [3.0, 4.0]]).tobytes())
+
+    def test_empty_series_name_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,\n1,2,3\n")
+        assert run(["estimate", str(path)]) == 2
+        assert "header column 3 has an empty series name" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text",
@@ -275,6 +408,7 @@ class TestPanelCsvAgainstPerCellReference:
             "a,b\n0x10,1.0\n",  # hex is not a float literal
             "a,b\n1.0,2.0\n\n3.0,4.0\n",  # blank line
             "a,b\n1.0,nan\n",  # non-finite
+            "a,b,\n1,2,3\n",  # a trailing comma names no series
         ],
     )
     def test_bad_panels_exit_2(self, tmp_path, text):
@@ -472,6 +606,16 @@ class TestPipelineCommand:
             lv.canonical_form(outs["nm"][0]).key
             == lv.canonical_form(outs["dtr"][0]).key
         )
+
+    def test_bundle_bytes_equal_on_both_read_paths(self, dairy_csv, tmp_path, monkeypatch):
+        fast, general = tmp_path / "fast.json", tmp_path / "general.json"
+        with monkeypatch.context() as m:
+            m.setattr(cli.csv, "reader", refuse_csv_reader)
+            assert run(["pipeline", dairy_csv, "--out", str(fast)]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_plain_panel", lambda text: None)
+            assert run(["pipeline", dairy_csv, "--out", str(general)]) == 0
+        assert fast.read_bytes() == general.read_bytes()
 
     def test_latent_free_panel(self, tmp_path):
         rng = np.random.default_rng(10)
