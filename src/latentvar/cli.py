@@ -15,7 +15,9 @@ File formats
   where latent nodes are called "L0" .. "L{m-1}", never an observed name.
 * model JSON: the four blocks plus noise variances.
 
-Names (``names``, ``observed``) are JSON arrays of strings.
+Names (``names``, ``observed``) are JSON arrays of strings.  Every series
+name, in any format, is non-empty, has no surrounding whitespace and differs
+from the others (model.name_tuple); only the panel reader strips names.
 
 Exit codes: 0 ok, 2 input error, 3 algorithmic failure (condition named on
 stderr).  The environment variable LVL_SEED supplies simulate's default seed.
@@ -55,12 +57,6 @@ def measurements_to_json(meas: mdl.LinearMeasurements) -> dict:
     }
 
 
-def _unique_names(names: Sequence[str], where: str) -> None:
-    dup = next((s for i, s in enumerate(names) if s in names[:i]), None)
-    if dup is not None:
-        raise InputError(f"{where}: duplicate series name {dup!r}")
-
-
 def _count(obj: dict, key: str) -> int:
     """obj[key] as a count: a JSON integer, so 2.9, 2.0 and true are refused."""
     if type(obj[key]) is not int:
@@ -85,7 +81,6 @@ def measurements_from_json(obj: dict) -> mdl.LinearMeasurements:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad measurements JSON: {exc}") from exc
-    _unique_names(meas.names, "bad measurements JSON")
     return meas
 
 
@@ -102,7 +97,6 @@ def network_from_json(obj: dict) -> mdl.UnobservedNetwork:
     try:
         observed = _names(obj, "observed")
         m = _count(obj, "latent_count")
-        _unique_names(observed, "bad network JSON")
         index = {name: i for i, name in enumerate(observed)}
         for i in range(m):
             if index.setdefault(f"L{i}", len(observed) + i) != len(observed) + i:
@@ -138,10 +132,9 @@ def model_from_json(obj: dict) -> tuple[mdl.LatentVarModel, tuple[str, ...]]:
             np.asarray(obj["a22"], dtype=float).reshape(m, m),
         )
         model = mdl.LatentVarModel(blocks, float(obj["sigma_x2"]), float(obj["sigma_z2"]))
-        names = tuple(_names(obj, "names")) if "names" in obj else mdl.default_names(model.n)
+        names = mdl.name_tuple(_names(obj, "names"), "names") if "names" in obj else mdl.default_names(n)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad model JSON: {exc}") from exc
-    _unique_names(names, "bad model JSON")
     return model, names
 
 
@@ -197,13 +190,13 @@ def read_panel_csv(path: str) -> TimeSeriesPanel:
 def _plain_panel(text: str) -> TimeSeriesPanel | None:
     """The panel of a plain file, read by numpy's parser; None for any other.
 
-    A plain file has no quote, no line end but LF and CRLF, a header, no
-    empty line (one final newline aside) and unique, non-empty names.  csv
-    splits such a file into the same cells, and numpy rounds each float()
-    literal as float() does.  numpy also strips \\x1c-\\x1f around a number,
-    which float() refuses, so a file holding one is not plain.  A file numpy
-    refuses, or reads into another shape, is left to the csv path, which
-    alone words the error.
+    A plain file has no quote, no line end but LF and CRLF, a header and no
+    empty line (one final newline aside).  csv splits such a file into the
+    same cells, and numpy rounds each float() literal as float() does.  numpy
+    also strips \\x1c-\\x1f around a number, which float() refuses, so a file
+    holding one is not plain.  A file numpy refuses or reads into another
+    shape, or whose names TimeSeriesPanel refuses, is left to the csv path,
+    which alone words the error.
     """
     if any(c in text for c in '"\x1c\x1d\x1e\x1f') or text.count("\r") != text.count("\r\n"):
         return None
@@ -213,8 +206,6 @@ def _plain_panel(text: str) -> TimeSeriesPanel | None:
     if len(lines) < 2 or "" in lines or "\r" in lines:
         return None
     names = [c.strip() for c in lines[0].split(",")]
-    if "" in names or len(set(names)) < len(names):
-        return None
     try:
         data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2, dtype=float)
         if data.shape != (len(lines) - 1, len(names)):
@@ -232,9 +223,6 @@ def _csv_panel(path: str, text: str) -> TimeSeriesPanel:
     names = [c.strip() for c in rows[0]]
     if not names:
         raise InputError(f"{path}: header names no series")
-    if "" in names:
-        raise InputError(f"{path}: header column {names.index('') + 1} has an empty series name")
-    _unique_names(names, path)
     for r, row in enumerate(rows[1:], 2):
         if len(row) != len(names):
             raise InputError(f"{path}: ragged rows: row {r} has {len(row)} cells, header has {len(names)}")
@@ -363,15 +351,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _effective_lag(panel: TimeSeriesPanel, args) -> int:
-    if args.lag is not None:
-        return args.lag
-    feasible = int((panel.t_len / 2 - 1) // panel.n)
-    if feasible < 1:
-        raise InsufficientData(f"panel too short to select any lag (T={panel.t_len})")
-    return est.select_lag(panel, min(args.lag_max, feasible), args.criterion)
-
-
 def _priors(args) -> est.BoundPriors | None:
     given = [args.rho12, args.rho22, args.sigma_z2_max]
     if all(v is None for v in given):
@@ -382,7 +361,8 @@ def _priors(args) -> est.BoundPriors | None:
 
 
 def _estimate(panel: TimeSeriesPanel, args) -> est.EstimationReport:
-    report = est.fit_coefficients(panel, _effective_lag(panel, args))
+    lag = args.lag if args.lag is not None else est.select_lag(panel, args.lag_max, args.criterion)
+    report = est.fit_coefficients(panel, lag)
     est.extract_support(report, args.alpha, _priors(args))
     return report
 

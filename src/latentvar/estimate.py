@@ -196,35 +196,37 @@ def fit_coefficients(panel: TimeSeriesPanel, l: int) -> EstimationReport:
 
 
 def select_lag(panel: TimeSeriesPanel, l_max: int, criterion: str = "aic") -> int:
-    """Pick the fit lag in 1..l_max by AIC or FPE; ties go to the smaller lag.
+    """Pick the fit lag in 1..min(l_max, (T - 1) // 2n), the lags with
+    l n < T/2, by AIC or FPE; ties go to the smaller lag.
 
+    InsufficientData is raised only when no lag is left, at T <= 2n.
     AIC(l) = ln det Sigma(l) + 2 l n^2 / T and
-    FPE(l) = ((T + n l + 1) / (T - n l - 1))^n det Sigma(l), with Sigma(l)
-    the residual covariance of the lag-l fit (fit_coefficients' residual_cov).
-    The autocovariances gamma(0..l_max+1) are computed once and shared by
-    every lag.
+    ln FPE(l) = ln det Sigma(l) + n ln((T + n l + 1) / (T - n l - 1)), with
+    Sigma(l) the residual covariance of the lag-l fit (fit_coefficients'
+    residual_cov); ln FPE has FPE's argmin and does not underflow or overflow
+    with the data's units.  The autocovariances are computed once and shared
+    by every lag.
     """
-    crit = criterion.lower()
-    if crit not in ("aic", "fpe"):
+    if criterion not in ("aic", "fpe"):
         raise ValueError(f"criterion must be 'aic' or 'fpe', got {criterion!r}")
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     t_len, n = panel.t_len, panel.n
-    if l_max * n >= t_len / 2:
-        raise InsufficientData(f"l_max * n = {l_max * n} must stay below T/2 = {t_len / 2}")
+    l_top = min(l_max, (t_len - 1) // (2 * n))
+    if l_top < 1:
+        raise InsufficientData(f"panel too short to select any lag: T = {t_len} <= 2n = {2 * n}")
     x = _centered(panel)
-    gammas = [_autocov_at(x, h) for h in range(l_max + 2)]
+    gammas = [_autocov_at(x, h) for h in range(l_top + 2)]
     best_l, best_score = 1, math.inf
-    for l in range(1, l_max + 1):
+    for l in range(1, l_top + 1):
         sigma = _lagged_fit(gammas, l, x)[2]
         sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:
             logdet = -math.inf
-        if crit == "aic":
+        if criterion == "aic":
             score = logdet + 2.0 * l * n * n / t_len
         else:
-            ratio = (t_len + n * l + 1) / (t_len - n * l - 1)
-            score = ratio**n * sign * math.exp(logdet)
+            score = logdet + n * math.log((t_len + n * l + 1) / (t_len - n * l - 1))
         if score < best_score:
             best_l, best_score = l, score
     return best_l

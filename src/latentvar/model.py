@@ -28,10 +28,20 @@ def default_names(n: int) -> tuple[str, ...]:
 
 
 def name_tuple(names: Sequence[str], key: str) -> tuple[str, ...]:
-    """names as a tuple of str; a bare str is refused, not split into characters."""
+    """names as a tuple of non-empty, distinct str without surrounding
+    whitespace, so that the panel CSV reader, which strips names, and the JSON
+    readers give back the names written; a bare str is refused, not split."""
     if isinstance(names, str):
         raise ValueError(f"{key} must be a sequence of strings, got {names!r}")
-    return tuple(str(x) for x in names)
+    out = tuple(str(x) for x in names)
+    seen = set()
+    for i, s in enumerate(out, 1):
+        if not s or s != s.strip():
+            raise ValueError(f"{key}: name {i} ({s!r}) is empty or has surrounding whitespace")
+        if s in seen:
+            raise ValueError(f"duplicate series name {s!r}")
+        seen.add(s)
+    return out
 
 
 def _as_matrix(a, rows: int, cols: int, name: str) -> np.ndarray:

@@ -146,14 +146,30 @@ class TestSelectLag:
         assert lv.select_lag(panel, 1, "aic") == 1
 
     def test_l_max_guard(self):
+        # lags with l n < T/2 are tried: 1..19 at T = 40, n = 1, none at T = 2
         panel = lv.simulate(scalar_ar1(), 40, seed=1)
+        assert lv.select_lag(panel, 30, "aic") == lv.select_lag(panel, 19, "aic")
         with pytest.raises(lv.InsufficientData):
-            lv.select_lag(panel, 30, "aic")
+            lv.select_lag(lv.simulate(scalar_ar1(), 2, seed=1), 1, "aic")
 
     def test_unknown_criterion(self):
         panel = lv.simulate(scalar_ar1(), 500, seed=1)
-        with pytest.raises(ValueError):
-            lv.select_lag(panel, 2, "bic")
+        for criterion in ("bic", "AIC"):  # one spelling, as the CLI's choices
+            with pytest.raises(ValueError):
+                lv.select_lag(panel, 2, criterion)
+
+    def test_fpe_ignores_the_units(self):
+        # FPE's product form underflowed to 0 at every lag at scale 1e-4, so
+        # lag 1 won the tie, and overflowed at 1e4; ln FPE only shifts
+        rng = np.random.default_rng(3)
+        n, t_len, burn = 50, 3000, 200
+        a1, a3 = rng.uniform(0.1, 0.4, n), rng.uniform(0.1, 0.3, n)
+        x, e = np.zeros((t_len + burn, n)), rng.standard_normal((t_len + burn, n))
+        for t in range(3, t_len + burn):
+            x[t] = a1 * x[t - 1] + a3 * x[t - 3] + e[t]
+        names = tuple(f"s{i}" for i in range(n))
+        lags = [lv.select_lag(lv.TimeSeriesPanel(names, x[burn:] * s), 4, "fpe") for s in (1.0, 1e-4, 1e4)]
+        assert lags == [2, 2, 2]  # the lag-2 fit regresses on X(t), X(t-1), X(t-2)
 
 
 class TestFitCoefficients:
