@@ -31,7 +31,6 @@ from .estimate import (
 )
 from .model import (
     BlockTransitionMatrix,
-    CanonicalForm,
     LatentVarModel,
     LinearMeasurements,
     UnobservedNetwork,
@@ -41,7 +40,6 @@ from .model import (
     default_names,
     network_of,
     nilpotency_index,
-    path_census,
     true_linear_measurements,
 )
 from .recover import (

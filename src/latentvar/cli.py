@@ -12,12 +12,12 @@ File formats
 * measurements JSON: ``{"n": int, "names": [...], "supports": [S_0, S_1, ...]}``
   with each S_k a row-major 0/1 matrix.
 * network JSON: ``{"observed": [names], "latent_count": m, "edges": [[src, dst], ...]}``
-  where latent nodes are called "L0" .. "L{m-1}", never an observed name.
+  where latent node k is called "L<k>"; no observed name has that form.
 * model JSON: the four blocks plus noise variances.
 
 Names (``names``, ``observed``) are JSON arrays of strings.  Every series
-name, in any format, is non-empty, has no surrounding whitespace and differs
-from the others (model.name_tuple); only the panel reader strips names.
+name, in any format, follows model.name_tuple: non-empty, unique, with no
+surrounding whitespace or leading U+FEFF; only the panel reader strips names.
 
 Exit codes: 0 ok, 2 input error, 3 algorithmic failure (condition named on
 stderr).  The environment variable LVL_SEED supplies simulate's default seed.
@@ -88,7 +88,14 @@ def _label(net: mdl.UnobservedNetwork, v: int) -> str:
     return net.observed[v] if v < net.n else f"L{v - net.n}"
 
 
+def _refuse_latent_labels(names: Sequence[str]) -> None:
+    """Latent node k is written "L<k>", so no observed name may have that form."""
+    if clash := [s for s in names if s[1:].isdecimal() and s == f"L{int(s[1:])}"]:
+        raise ValueError(f"observed name {clash[0]!r} has the form L<k> of a latent label")
+
+
 def network_to_json(net: mdl.UnobservedNetwork) -> dict:
+    _refuse_latent_labels(net.observed)
     edges = sorted([_label(net, u), _label(net, v)] for u, v in net.edges)
     return {"observed": list(net.observed), "latent_count": net.latent_count, "edges": edges}
 
@@ -97,10 +104,9 @@ def network_from_json(obj: dict) -> mdl.UnobservedNetwork:
     try:
         observed = _names(obj, "observed")
         m = _count(obj, "latent_count")
+        _refuse_latent_labels(observed)
         index = {name: i for i, name in enumerate(observed)}
-        for i in range(m):
-            if index.setdefault(f"L{i}", len(observed) + i) != len(observed) + i:
-                raise ValueError(f"observed name 'L{i}' is also a latent label")
+        index.update((f"L{i}", len(observed) + i) for i in range(m))
         edges = {(index[str(u)], index[str(v)]) for u, v in obj["edges"]}
         return mdl.UnobservedNetwork(tuple(observed), m, frozenset(edges))
     except (KeyError, TypeError, ValueError) as exc:
@@ -376,8 +382,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _recover_networks(meas: mdl.LinearMeasurements, args) -> list[mdl.UnobservedNetwork]:
-    if clash := [s for s in meas.names if s[1:].isdecimal() and s == f"L{int(s[1:])}"]:
-        raise InputError(f"observed name {clash[0]!r} has the form L<k> of a latent label")
+    _refuse_latent_labels(meas.names)
     if args.mode == "dtr":
         return [rec.dtr(meas)]
     if args.mode == "tree":

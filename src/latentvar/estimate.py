@@ -96,14 +96,14 @@ def autocov(panel: TimeSeriesPanel, h: int) -> np.ndarray:
     return _autocov_at(_centered(panel), h)
 
 
-def block_toeplitz(gammas: Sequence[np.ndarray], l: int) -> np.ndarray:
-    """Lagged covariance of the stacked vector [X(t); ...; X(t-l)].
+def block_toeplitz(gammas: Sequence[np.ndarray]) -> np.ndarray:
+    """Lagged covariance of the stacked vector [X(t); ...; X(t-l)], given
+    gamma(0..l); l is len(gammas) - 1.
 
     Block (r, c) is E[X(t-r) X(t-c)^T] = gamma(c - r) above the diagonal and
     gamma(r - c)^T below it, which makes the result symmetric by construction.
     """
-    if len(gammas) != l + 1:
-        raise ValueError(f"need gammas 0..{l}, got {len(gammas)} matrices")
+    l = len(gammas) - 1
     n = gammas[0].shape[0]
     out = np.empty((n * (l + 1), n * (l + 1)))
     for r in range(l + 1):
@@ -123,7 +123,7 @@ def _lagged_fit(
     gammas: Sequence[np.ndarray], l: int, x: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """(Gamma(l), [B_0 .. B_l], Sigma) of the lag-l Yule-Walker fit, read off
-    G = block_toeplitz(gamma(0..l+1), l+1), the covariance of [X(t+1); ..; X(t-l)]:
+    G = block_toeplitz(gamma(0..l+1)), the covariance of [X(t+1); ..; X(t-l)]:
     Gamma(l) = G[n:, n:], ridged when ill-conditioned, B = G[:n, n:] Gamma(l)^-1
     and Sigma = [I, -B] G [I, -B]^T.  Given the centred data x, G becomes
     (T G - E^T E) / (T - l - 1), E the zero-padded rows [x_u; ..; x_{u-l-1}]
@@ -131,7 +131,7 @@ def _lagged_fit(
     is the covariance of its one-step-ahead residuals (Lütkepohl 2005, sec. 3.2).
     """
     n = gammas[0].shape[0]
-    g = block_toeplitz(list(gammas[: l + 2]), l + 1)
+    g = block_toeplitz(gammas[: l + 2])
     big = g[n:, n:]
     lam = np.linalg.eigvalsh(big)  # ascending; the ridge shifts each by eps
     if _cond(lam) >= COND_LIMIT:
@@ -232,10 +232,9 @@ def select_lag(panel: TimeSeriesPanel, l_max: int, criterion: str = "aic") -> in
     return best_l
 
 
-def prop1_bound(n: int, l: int, k: int, m_over_l: float, rho12: float, rho22: float) -> float:
-    """Analytic bound on the induced 1-norm gap between B_k and the true A_k*.
-
-    sqrt(n (l-1) M/L) * rho12 * rho22, the same value at every k <= l.
+def prop1_bound(n: int, l: int, m_over_l: float, rho12: float, rho22: float) -> float:
+    """Analytic bound on the induced 1-norm gap between B_k and the true A_k*,
+    one value for every lag block k = 0..l: sqrt(n (l-1) M/L) * rho12 * rho22.
 
     Unrolling the nilpotent latent block leaves, in the lag-l regression of
     X(t+1) on Y = [X(t); ...; X(t-l)], the noise e = w1(t+1) + sum_{j=0}^{l-1}
@@ -255,8 +254,6 @@ def prop1_bound(n: int, l: int, k: int, m_over_l: float, rho12: float, rho22: fl
     and extract_support pass lambda_min of gamma(0) instead, which is at
     least as large, so the value they get is no larger than the rigorous one.
     """
-    if k > l:
-        raise ValueError("bound is only defined for k <= l")
     if not 0.0 <= rho22 < 1.0:
         raise ValueError("rho22 must lie in [0, 1)")
     return math.sqrt(n * max(l - 1, 0) * m_over_l) * rho12 * rho22
@@ -265,9 +262,9 @@ def prop1_bound(n: int, l: int, k: int, m_over_l: float, rho12: float, rho22: fl
 def recoverability_check(priors: BoundPriors, n: int, l: int, k: int, l_hat: float) -> bool:
     """Whether the support of the lag-k block is recoverable under the priors.
 
-    True iff 2 * prop1_bound(n, l, k, sigma_z2_max / l_hat, rho12, rho22)
-    <= a_min,k: a gap of at most the bound then cannot hide a nonzero entry
-    or fake a zero one.  Squared, this reads
+    True iff 2 * prop1_bound(n, l, sigma_z2_max / l_hat, rho12, rho22)
+    <= a_min,k (k picks a_min,k only): a gap of at most the bound then cannot
+    hide a nonzero entry or fake a zero one.  Squared, this reads
     4 n (l-1) rho12^2 rho22^2 / a_min,k^2 <= l_hat / sigma_z2_max.  Where the
     bound vanishes (l <= 1 or rho12 = 0) every lag passes; otherwise a
     nonpositive l_hat leaves the bound unbounded and the check fails.
@@ -277,7 +274,7 @@ def recoverability_check(priors: BoundPriors, n: int, l: int, k: int, l_hat: flo
         return True
     if l_hat <= 0:
         return False
-    bound = prop1_bound(n, l, k, priors.sigma_z2_max / l_hat, priors.rho12, priors.rho22)
+    bound = prop1_bound(n, l, priors.sigma_z2_max / l_hat, priors.rho12, priors.rho22)
     return 2.0 * bound <= a_min
 
 
@@ -290,9 +287,9 @@ def extract_support(
 
     Entry (j, i) of S_k is set iff the two-sided z-test at level alpha rejects
     zero, and, when priors are supplied, |B_k[j, i]| additionally exceeds the
-    analytic bound (prop1_bound) at every block k = 0..l, the top one
-    included, since the bound covers the whole stack B - A; it has the same
-    value at each of them.  L in M/L is lambda_min of
+    analytic bound (prop1_bound).  That bound covers the whole stack B - A, so
+    one value gates every block k = 0..l, the top one included, and the report
+    lists it once per block.  L in M/L is lambda_min of
     the sample gamma(0), which is at least lambda_min of the stacked Gamma(l)
     that the derivation calls for; switching to Gamma(l) would raise the
     bound and drop more entries on data.  The decisions are recorded on the report
@@ -303,9 +300,7 @@ def extract_support(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     z_crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    l = report.lag
-    n = report.n
-    bounds: list[float] = []
+    bound = None
     if priors is not None:
         l_hat = float(np.min(np.linalg.eigvalsh(report.gamma0)))
         if l_hat <= 0:
@@ -313,17 +308,15 @@ def extract_support(
                 f"gamma(0) has lambda_min = {l_hat!r}; the prior bound needs it positive"
             )
         m_over_l = priors.sigma_z2_max / l_hat
-        bounds = [
-            prop1_bound(n, l, k, m_over_l, priors.rho12, priors.rho22) for k in range(l + 1)
-        ]
+        bound = prop1_bound(report.n, report.lag, m_over_l, priors.rho12, priors.rho22)
     supports = []
-    for k, (b, se) in enumerate(zip(report.b_hat, report.entry_stderr)):
+    for b, se in zip(report.b_hat, report.entry_stderr):
         mask = np.abs(b) > z_crit * se
-        if priors is not None:
-            mask &= np.abs(b) > bounds[k]
+        if bound is not None:
+            mask &= np.abs(b) > bound
         supports.append(mask.astype(np.uint8))
-    meas = LinearMeasurements(n, supports, report.names)
+    meas = LinearMeasurements(report.n, supports, report.names)
     report.alpha = alpha
-    report.bounds = tuple(bounds) if priors is not None else None
+    report.bounds = None if bound is None else (bound,) * (report.lag + 1)
     report.supports = meas
     return meas

@@ -29,7 +29,8 @@ def default_names(n: int) -> tuple[str, ...]:
 
 def name_tuple(names: Sequence[str], key: str) -> tuple[str, ...]:
     """names as a tuple of non-empty, distinct str without surrounding
-    whitespace, so that the panel CSV reader, which strips names, and the JSON
+    whitespace or a leading U+FEFF, so that the panel CSV reader, which strips
+    names and takes a leading U+FEFF for a byte order mark, and the JSON
     readers give back the names written; a bare str is refused, not split."""
     if isinstance(names, str):
         raise ValueError(f"{key} must be a sequence of strings, got {names!r}")
@@ -38,6 +39,8 @@ def name_tuple(names: Sequence[str], key: str) -> tuple[str, ...]:
     for i, s in enumerate(out, 1):
         if not s or s != s.strip():
             raise ValueError(f"{key}: name {i} ({s!r}) is empty or has surrounding whitespace")
+        if s[0] == "\ufeff":
+            raise ValueError(f"{key}: name {i} ({s!r}) starts with U+FEFF, a byte order mark")
         if s in seen:
             raise ValueError(f"duplicate series name {s!r}")
         seen.add(s)
@@ -280,13 +283,6 @@ class UnobservedNetwork:
         return True
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Byte key identifying a network up to relabeling of its latent nodes."""
-
-    key: bytes
-
-
 def nilpotency_index(a22) -> int:
     """Smallest l with a22^l == 0 (entries below ZERO_TOL count as zero).
 
@@ -339,22 +335,16 @@ def network_of(model: LatentVarModel, names: Sequence[str] | None = None) -> Uno
     return UnobservedNetwork.from_blocks(names, a21, a22, a12, a11)
 
 
-def path_census(network: UnobservedNetwork, max_len: int) -> LinearMeasurements:
-    """Supports of all latent paths of length <= max_len between observed nodes.
+def complete_census(network: UnobservedNetwork) -> LinearMeasurements:
+    """Supports of every latent path between observed nodes.
 
     ``S_k[j, i] = 1`` iff a directed path ``i -> ... -> j`` of length ``k + 1``
-    with all-latent interior exists; ``S_0`` is the observed adjacency.
-    Raises CyclicLatent when the latent subgraph has a cycle.
+    with all-latent interior exists; ``S_0`` is the observed adjacency.  No
+    such path is longer than latent_count + 1, so S_0..S_K is the whole
+    census.  Raises CyclicLatent when the latent subgraph has a cycle.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     a_oo, a_ol, a_ll, a_lo = network.adjacency_blocks()
-    return LinearMeasurements(network.n, _walk(a_oo, a_lo, a_ol, a_ll)[:max_len], network.observed)
-
-
-def complete_census(network: UnobservedNetwork) -> LinearMeasurements:
-    """Census at the network's own maximum possible path length."""
-    return path_census(network, network.latent_count + 1)
+    return LinearMeasurements(network.n, _walk(a_oo, a_lo, a_ol, a_ll), network.observed)
 
 
 def consistent(network: UnobservedNetwork, meas: LinearMeasurements) -> bool:
@@ -412,8 +402,8 @@ def _refine_latent_colors(network: UnobservedNetwork) -> list[list[int]]:
     return [classes[c] for c in sorted(classes)]
 
 
-def canonical_form(network: UnobservedNetwork) -> CanonicalForm:
-    """Deterministic key invariant under any permutation of the latent ids.
+def canonical_form(network: UnobservedNetwork) -> bytes:
+    """Byte key identifying a network up to any permutation of its latent ids.
 
     Color refinement first; residual symmetry classes are broken by trying
     every within-class ordering and keeping the lexicographically smallest
@@ -430,4 +420,4 @@ def canonical_form(network: UnobservedNetwork) -> CanonicalForm:
         enc = sorted((relabel.get(u, u), relabel.get(v, v)) for u, v in network.edges)
         if best is None or enc < best:
             best = enc
-    return CanonicalForm(header + repr(best).encode())
+    return header + repr(best).encode()

@@ -336,14 +336,14 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
                 break
             frontier = nxt
         nets = [UnobservedNetwork.from_blocks(meas.names, *blocks) for blocks in frontier.values()]
-        firsts = {canonical_form(g).key: g for g in reversed(nets)}
+        firsts = {canonical_form(g): g for g in reversed(nets)}
         per_class.append([firsts[key] for key in sorted(firsts)])
     if not per_class:
         return [UnobservedNetwork(meas.names, 0, frozenset())]
     combos = {}
     for choice in itertools.product(*per_class):
         g = _disjoint_union(meas.names, choice)
-        combos[canonical_form(g).key] = g
+        combos[canonical_form(g)] = g
     return [g for _, g in sorted(combos.items())]
 
 
@@ -429,7 +429,7 @@ def _latent_dags_up_to_iso(m: int) -> list[np.ndarray]:
         g = UnobservedNetwork(
             (), m, frozenset((int(c), int(r)) for r, c in zip(*np.nonzero(adj)))
         )
-        key = canonical_form(g).key
+        key = canonical_form(g)
         if key not in seen:
             seen.add(key)
             out.append(adj)
@@ -612,6 +612,6 @@ def oracle_minimal(meas: LinearMeasurements, m_max: int) -> list[UnobservedNetwo
     for m in range(start, m_max + 1):
         sols = _enumerate_consistent(meas, m)
         if sols:
-            dedup = {canonical_form(g).key: g for g in sols}
+            dedup = {canonical_form(g): g for g in sols}
             return [g for _, g in sorted(dedup.items())]
     return []

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Sequence
 
 import numpy as np
 
@@ -132,13 +131,12 @@ def simulate(
     t_len: int,
     burn_in: int = DEFAULT_BURN_IN,
     seed: int = 0,
-    names: Sequence[str] | None = None,
 ) -> TimeSeriesPanel:
     """Run the VAR recursion x_t = A x_{t-1} + e_t with Gaussian noise e_t.
 
     The joint state starts at zero; the first ``burn_in`` samples are dropped
     so the A22^t transient of the latent block has died out, and the observed
-    part of the rest is returned.
+    part of the rest is returned, named x1..xn (default_names).
 
     The N = burn_in + t_len steps are summed in c = N // k chunks of
     k = isqrt(N) samples.  Every chunk is first run from a zero state at
@@ -163,9 +161,7 @@ def simulate(
         [np.full(n, np.sqrt(model.sigma_x2)), np.full(m, np.sqrt(model.sigma_z2))]
     )
     out = _observed_path(model.blocks.full(), noise, n)
-    if names is None:
-        names = default_names(n)
-    return TimeSeriesPanel(names, out[burn_in:])
+    return TimeSeriesPanel(default_names(n), out[burn_in:])
 
 
 def _observed_path(full: np.ndarray, noise: np.ndarray, n: int) -> np.ndarray:

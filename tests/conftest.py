@@ -65,7 +65,7 @@ def no_merge_search(monkeypatch):
 
 
 def canon_keys(nets) -> set[bytes]:
-    return {lv.canonical_form(g).key for g in nets}
+    return {lv.canonical_form(g) for g in nets}
 
 
 def gen_unique_parent_tree(

@@ -136,7 +136,7 @@ def test_criterion_06_coefficient_bound_soundness():
         ]
         for k in range(l):
             err = np.abs(coeffs[k] - a_true[k]).sum(axis=0).max()
-            bound = lv.prop1_bound(model.n, l, k, m_val / l_val, rho12, rho22)
+            bound = lv.prop1_bound(model.n, l, m_val / l_val, rho12, rho22)
             if err > bound + 1e-8:
                 bad += 1
                 break
@@ -271,7 +271,7 @@ def test_companion_bound_soundness_below_top_lag():
         ]
         for k in range(l - 1):
             err = np.abs(coeffs[k] - a_true[k]).sum(axis=0).max()
-            bound = lv.prop1_bound(model.n, l, k, m_val / l_val, rho12, rho22)
+            bound = lv.prop1_bound(model.n, l, m_val / l_val, rho12, rho22)
             assert err <= bound + 1e-8
             checked += 1
         if l == 1:

@@ -33,7 +33,7 @@ def dairy_csv(tmp_path_factory):
     a12 = np.array([[0.0], [0.45]])
     a21 = np.array([[0.45, 0.0]])
     model = lv.LatentVarModel(lv.BlockTransitionMatrix(a11, a12, a21, [[0.0]]))
-    panel = lv.simulate(model, 8000, seed=3, names=("milk", "cheese"))
+    panel = lv.TimeSeriesPanel(("milk", "cheese"), lv.simulate(model, 8000, seed=3).data)
     path = tmp_path_factory.mktemp("fixtures") / "dairy.csv"
     cli.write_panel_csv(str(path), panel)
     return str(path)
@@ -45,7 +45,7 @@ def west_german_csv(tmp_path_factory):
     a12 = np.array([[0.40], [0.45]])
     a21 = np.array([[0.45, 0.0]])
     model = lv.LatentVarModel(lv.BlockTransitionMatrix(a11, a12, a21, [[0.0]]))
-    panel = lv.simulate(model, 8000, seed=3, names=("expend", "invest"))
+    panel = lv.TimeSeriesPanel(("expend", "invest"), lv.simulate(model, 8000, seed=3).data)
     path = tmp_path_factory.mktemp("fixtures") / "west_german.csv"
     cli.write_panel_csv(str(path), panel)
     return str(path)
@@ -453,7 +453,7 @@ def test_cli_imports_only_stdlib_and_numpy():
 
 
 PUBLIC_NAMES = [
-    "AmbiguousDistance", "BlockTransitionMatrix", "BoundPriors", "CanonicalForm", "CapExceeded",
+    "AmbiguousDistance", "BlockTransitionMatrix", "BoundPriors", "CapExceeded",
     "CyclicLatent", "DEFAULT_CAP", "DrgConfig", "EstimationReport", "InconsistentRecovery",
     "InsufficientData", "LatentVarError", "LatentVarModel", "LinearMeasurements", "NodeProfile",
     "NonStationary", "NotIdentifiable", "ScaleExceeded", "SingularCovariance", "TimeSeriesPanel",
@@ -461,7 +461,7 @@ PUBLIC_NAMES = [
     "compute_ml_ratio", "connected_classes", "consistent", "default_names", "distance_matrix",
     "dtr", "extract_support", "fit_coefficients", "fit_from_autocovariances", "gen_drg",
     "init_graph", "network_of", "nilpotency_index", "nm", "node_profiles", "oracle_minimal",
-    "path_census", "population_autocov", "population_covariance", "prop1_bound", "recover_tree",
+    "population_autocov", "population_covariance", "prop1_bound", "recover_tree",
     "recoverability_check", "select_lag", "simulate", "true_linear_measurements", "unique_parents",
 ]
 
@@ -498,8 +498,8 @@ class TestRecoverCommand:
         assert run(["recover", ambig_meas_json, "--mode", "nm", "--out", str(out)]) == 0
         objs = json.loads(out.read_text())
         assert isinstance(objs, list) and len(objs) == 2
-        got = {lv.canonical_form(cli.network_from_json(o)).key for o in objs}
-        want = {lv.canonical_form(ambig_left).key, lv.canonical_form(ambig_right).key}
+        got = {lv.canonical_form(cli.network_from_json(o)) for o in objs}
+        want = {lv.canonical_form(ambig_left), lv.canonical_form(ambig_right)}
         assert got == want
 
     def test_ambiguous_example_tree_not_identifiable(self, ambig_meas_json, tmp_path, capsys):
@@ -603,8 +603,8 @@ class TestPipelineCommand:
             outs[mode] = [cli.network_from_json(o) for o in bundle["networks"]]
         assert len(outs["nm"]) == 1
         assert (
-            lv.canonical_form(outs["nm"][0]).key
-            == lv.canonical_form(outs["dtr"][0]).key
+            lv.canonical_form(outs["nm"][0])
+            == lv.canonical_form(outs["dtr"][0])
         )
 
     def test_bundle_bytes_equal_on_both_read_paths(self, dairy_csv, tmp_path, monkeypatch):
@@ -727,7 +727,7 @@ class TestSerializationRoundTrips:
 
     def test_network_preserves_canonical_form(self, ambig_left):
         again = cli.network_from_json(cli.network_to_json(ambig_left))
-        assert lv.canonical_form(again).key == lv.canonical_form(ambig_left).key
+        assert lv.canonical_form(again) == lv.canonical_form(ambig_left)
 
     def test_model_round_trip(self):
         model = lv.gen_drg(lv.DrgConfig(n=3, m=2, p=0.5, q=0.5, seed=9))
@@ -794,14 +794,29 @@ class TestObservedNames:
     def test_network_json_rejects_observed_latent_label(self, tmp_path, capsys):
         # read naively, "L0" would silently become the latent and x its parent
         obj = {"observed": ["L0", "x"], "latent_count": 1, "edges": [["x", "L0"]]}
-        with pytest.raises(cli.InputError, match="'L0' is also a latent label"):
+        with pytest.raises(cli.InputError, match="'L0' has the form L<k> of a latent label"):
             cli.network_from_json(obj)
         path = tmp_path / "net.json"
         cli.write_json(str(path), obj)
         assert run(["census", str(path), "--out", str(tmp_path / "o.json")]) == 2
-        # an observed name past the latent labels is no clash
-        net = cli.network_from_json({"observed": ["L1", "x"], "latent_count": 1, "edges": [["x", "L0"], ["L0", "L1"]]})
-        assert net.edges == frozenset({(1, 2), (2, 0)})
+        # a name past the latent labels is refused too, as recover refuses it
+        with pytest.raises(cli.InputError, match="'L1' has the form L<k> of a latent label"):
+            cli.network_from_json({"observed": ["L1", "x"], "latent_count": 1, "edges": [["x", "L0"], ["L0", "L1"]]})
+
+    def test_census_refuses_what_recover_refuses(self, tmp_path, capsys):
+        # census once wrote measurements naming "L5", which recover then refused
+        obj = {"observed": ["a", "L5", "b"], "latent_count": 1, "edges": [["a", "L0"], ["L0", "b"], ["L5", "L0"]]}
+        path, out = tmp_path / "net.json", tmp_path / "meas.json"
+        cli.write_json(str(path), obj)
+        assert run(["census", str(path), "--out", str(out)]) == 2
+        assert "observed name 'L5' has the form L<k> of a latent label" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_network_writer_refuses_observed_latent_label(self):
+        # written, the edges would read ["L0", "L0"] and ["L0", "x"]
+        net = lv.UnobservedNetwork(("L0", "x"), 1, frozenset({(0, 2), (2, 1)}))
+        with pytest.raises(ValueError, match="'L0' has the form L<k> of a latent label"):
+            cli.network_to_json(net)
 
     @pytest.mark.parametrize("names", ["ab", ["a", 1], None, {"a": 0}])
     @pytest.mark.parametrize("kind", ["measurements", "network", "model"])
@@ -829,11 +844,10 @@ class TestObservedNames:
 
 
 #: Characters drawn into series names: inner spaces and non-ASCII letters,
-#: and in NAME_CHARS also csv's delimiter, quote and line end.  U+FEFF is left
-#: out: at the start of the first name, the utf-8-sig reader takes it for a
-#: byte order mark.
+#: and in NAME_CHARS also csv's delimiter, quote and line end, and U+FEFF,
+#: which the rule refuses only at the start of a name.
 PLAIN_NAME_CHARS = list("abxé ßΩжλ\t")
-NAME_CHARS = PLAIN_NAME_CHARS + list(',"\n')
+NAME_CHARS = PLAIN_NAME_CHARS + list(',"\n\ufeff')
 
 #: Names the rule refuses, and what the panel reader, which strips names,
 #: makes of them (None: it refuses them too).
@@ -842,6 +856,8 @@ BAD_NAMES = [
     pytest.param((" a", "b"), ("a", "b"), id="leading-space"),
     pytest.param(("a\t", "b"), ("a", "b"), id="trailing-tab"),
     pytest.param(("a", "a"), None, id="repeated"),
+    pytest.param(("\ufeffa", "b"), ("a", "b"), id="leading-bom"),  # read as a byte order mark
+    pytest.param(("a", "\ufeffb"), None, id="leading-bom-2"),
 ]
 
 
@@ -849,7 +865,7 @@ def drawn_names(rng, chars, n) -> tuple[str, ...]:
     names: list[str] = []
     while len(names) < n:
         s = "".join(rng.choice(chars, int(rng.integers(1, 6))))
-        if s == s.strip() and s not in names:
+        if s == s.strip() and s[0] != "\ufeff" and s not in names:
             names.append(s)
     return tuple(names)
 
@@ -900,7 +916,7 @@ class TestNameRule:
     @pytest.mark.parametrize("names, stripped", BAD_NAMES)
     def test_panel_csv_strips_names(self, tmp_path, monkeypatch, names, stripped):
         path = tmp_path / "p.csv"
-        path.write_text(",".join(names) + "\n1.0,2.0\n3.0,4.0\n1.5,0.5\n")
+        path.write_text(",".join(names) + "\n1.0,2.0\n3.0,4.0\n1.5,0.5\n", encoding="utf-8")
         fast, general = read_both_paths(str(path), monkeypatch)
         assert fast == general
         if stripped is not None:

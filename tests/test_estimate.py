@@ -96,17 +96,17 @@ class TestAutocov:
 class TestBlockToeplitz:
     def test_lag_zero_is_gamma0(self):
         g0 = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert np.array_equal(lv.block_toeplitz([g0], 0), g0)
+        assert np.array_equal(lv.block_toeplitz([g0]), g0)
 
     def test_scalar_layout(self):
-        out = lv.block_toeplitz([np.array([[1.0]]), np.array([[0.5]])], 1)
+        out = lv.block_toeplitz([np.array([[1.0]]), np.array([[0.5]])])
         assert np.array_equal(out, [[1.0, 0.5], [0.5, 1.0]])
 
     def test_symmetric_for_any_input(self):
         rng = np.random.default_rng(2)
         gammas = [rng.standard_normal((3, 3)) for _ in range(3)]
         gammas[0] = gammas[0] + gammas[0].T  # gamma(0) symmetric by definition
-        big = lv.block_toeplitz(gammas, 2)
+        big = lv.block_toeplitz(gammas)
         assert np.allclose(big, big.T)
 
     def test_matches_stacked_covariance(self):
@@ -116,7 +116,7 @@ class TestBlockToeplitz:
         n = model.n
         l = 2
         gammas = [lv.population_autocov(model, h) for h in range(l + 1)]
-        big = lv.block_toeplitz(gammas, l)
+        big = lv.block_toeplitz(gammas)
         for r in range(l + 1):
             for c in range(l + 1):
                 want = gammas[c - r] if c >= r else gammas[r - c].T
@@ -238,7 +238,7 @@ class TestLaggedMoments:
         panel = drg_panel(11)
         dup = lv.TimeSeriesPanel(panel.names + ("dup",), np.column_stack([panel.data, panel.data[:, 0]]))
         gammas = [lv.autocov(dup, h) for h in range(2)]
-        assert np.linalg.cond(lv.block_toeplitz(gammas, 1)) >= lv.estimate.COND_LIMIT
+        assert np.linalg.cond(lv.block_toeplitz(gammas)) >= lv.estimate.COND_LIMIT
         self.assert_matches_reference(dup, 1)
 
     @pytest.mark.parametrize("l", [0, 1, 3])
@@ -267,7 +267,7 @@ class TestLaggedMoments:
             model = gen_stationary_model(rng)
             l = int(rng.integers(0, 4))
             gammas = [lv.population_autocov(model, h) for h in range(l + 2)]
-            assert np.linalg.cond(lv.block_toeplitz(gammas[: l + 1], l)) < lv.estimate.COND_LIMIT
+            assert np.linalg.cond(lv.block_toeplitz(gammas[: l + 1])) < lv.estimate.COND_LIMIT
             blocks, sigma = lv.fit_from_autocovariances(gammas, l)
             want = gammas[0] - sum(b @ gammas[k + 1].T for k, b in enumerate(blocks))
             np.testing.assert_allclose(sigma, want, rtol=0, atol=1e-12 * np.max(np.abs(gammas[0])))
@@ -277,26 +277,18 @@ class TestProp1Bound:
     def test_zero_at_top_lag(self):
         # zero only where the correlated latent noise vanishes (l = 1); for
         # l >= 2 the projection residue reaches the top lag as well
-        assert lv.prop1_bound(5, 1, 0, 0.5, 0.4, 0.3) == 0.0
-        got = lv.prop1_bound(5, 3, 2, 0.5, 0.4, 0.3)
+        assert lv.prop1_bound(5, 1, 0.5, 0.4, 0.3) == 0.0
+        got = lv.prop1_bound(5, 3, 0.5, 0.4, 0.3)
         want = math.sqrt(5 * 2 * 0.5) * 0.4 * 0.3
         assert abs(got - want) < 1e-12
 
     def test_zero_without_latent_block(self):
-        assert lv.prop1_bound(5, 3, 0, 0.5, 0.0, 0.3) == 0.0
+        assert lv.prop1_bound(5, 3, 0.5, 0.0, 0.3) == 0.0
 
     def test_direct_formula(self):
-        got = lv.prop1_bound(5, 3, 0, 0.5, 0.4, 0.3)
+        got = lv.prop1_bound(5, 3, 0.5, 0.4, 0.3)
         want = math.sqrt(5 * 2 * 0.5) * 0.4 * 0.3**1
         assert abs(got - want) < 1e-12
-
-    def test_rejects_k_beyond_range(self):
-        # a lag-l fit has blocks B_0..B_l, so k = l is in range and k = l + 1 not
-        with pytest.raises(ValueError):
-            lv.prop1_bound(5, 3, 4, 0.5, 0.4, 0.3)
-
-    def test_top_block_gets_the_flat_bound(self):
-        assert lv.prop1_bound(5, 3, 3, 0.5, 0.4, 0.3) == lv.prop1_bound(5, 3, 0, 0.5, 0.4, 0.3)
 
 
 class TestRecoverabilityCheck:
@@ -328,7 +320,7 @@ class TestRecoverabilityCheck:
     def test_lag_zero_passes(self):
         # prop1_bound is 0 at l = 0, so the check passes whatever l_hat is
         priors = lv.BoundPriors(0.4, 0.3, 1.0, (0.05,))
-        assert lv.prop1_bound(5, 0, 0, 1.0, 0.4, 0.3) == 0.0
+        assert lv.prop1_bound(5, 0, 1.0, 0.4, 0.3) == 0.0
         for l_hat in (1.0, 0.0, -1.0):
             assert lv.recoverability_check(priors, 5, 0, 0, l_hat)
 
@@ -462,7 +454,7 @@ class TestProp1Soundness:
             ]
             for k in range(l - 1):
                 err = np.abs(coeffs[k] - a_true[k]).sum(axis=0).max()
-                bound = lv.prop1_bound(model.n, l, k, m_val / l_val, rho12, rho22)
+                bound = lv.prop1_bound(model.n, l, m_val / l_val, rho12, rho22)
                 assert err <= bound + 1e-8
                 tested += 1
         assert tested > 10
@@ -487,7 +479,7 @@ class TestProp1Soundness:
         ]
         for k in range(l):
             err = np.abs(coeffs[k] - a_true[k]).sum(axis=0).max()
-            bound = lv.prop1_bound(model.n, l, k, m_val / l_val, rho12, rho22)
+            bound = lv.prop1_bound(model.n, l, m_val / l_val, rho12, rho22)
             assert err <= bound + 1e-8
 
     def test_lag_one_models_are_exact(self):

@@ -233,7 +233,7 @@ def dtr_comparison_inputs(scale):
 def route_outcome(fn, meas):
     """Canonical key of fn's network, or the type of the error it raised."""
     try:
-        return lv.canonical_form(fn(meas)).key
+        return lv.canonical_form(fn(meas))
     except lv.LatentVarError as exc:
         return type(exc)
 
@@ -311,7 +311,7 @@ class TestRecoverTree:
     def test_star(self):
         star = star_network(2, 2)
         rec = lv.recover_tree(lv.complete_census(star))
-        assert lv.canonical_form(rec).key == lv.canonical_form(star).key
+        assert lv.canonical_form(rec) == lv.canonical_form(star)
 
     def test_dairy_not_identifiable(self, dairy_meas):
         with pytest.raises(lv.NotIdentifiable, match="0 candidate networks satisfy the tree conditions"):
@@ -338,7 +338,7 @@ class TestRecoverTree:
         edges |= {(i, 7) for i in b_parents} | {(7, j) for j in b_children}
         g = lv.UnobservedNetwork(names, 2, frozenset(edges))
         rec = lv.recover_tree(lv.complete_census(g))
-        assert lv.canonical_form(rec).key == lv.canonical_form(g).key
+        assert lv.canonical_form(rec) == lv.canonical_form(g)
 
     def test_random_hidden_trees(self):
         # >= 100 random tree networks whose latent nodes all have >= 2
@@ -347,7 +347,7 @@ class TestRecoverTree:
         for _ in range(100):
             g = gen_degree_tree(rng, m_max=12)
             rec = lv.recover_tree(lv.complete_census(g))
-            assert lv.canonical_form(rec).key == lv.canonical_form(g).key
+            assert lv.canonical_form(rec) == lv.canonical_form(g)
 
 
 def reference_recover_tree(meas, cap=DEFAULT_CAP):
@@ -662,10 +662,10 @@ class TestNm:
     def test_outputs_sorted_and_deterministic(self, ambig_meas):
         a = lv.nm(ambig_meas)
         b = lv.nm(ambig_meas)
-        assert [lv.canonical_form(g).key for g in a] == [
-            lv.canonical_form(g).key for g in b
+        assert [lv.canonical_form(g) for g in a] == [
+            lv.canonical_form(g) for g in b
         ]
-        keys = [lv.canonical_form(g).key for g in a]
+        keys = [lv.canonical_form(g) for g in a]
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -700,7 +700,7 @@ def reference_nm(meas, cap=DEFAULT_CAP):
         g0 = init_graph(meas, cls, cap)
         _, *blocks0 = (a.astype(np.int64) for a in g0.adjacency_blocks())
         # canonical key -> (network, its int64 blocks), one merge level each
-        frontier = {canonical_form(g0).key: (g0, blocks0)}
+        frontier = {canonical_form(g0): (g0, blocks0)}
         while True:
             nxt: dict[bytes, tuple] = {}
             for _, (p, b, q) in frontier.values():
@@ -709,7 +709,7 @@ def reference_nm(meas, cap=DEFAULT_CAP):
                     if not _blocks_valid(*merged, targets):
                         continue
                     g = UnobservedNetwork.from_blocks(meas.names, *merged)
-                    nxt.setdefault(canonical_form(g).key, (g, merged))
+                    nxt.setdefault(canonical_form(g), (g, merged))
             if not nxt:
                 break
             frontier = nxt
@@ -719,7 +719,7 @@ def reference_nm(meas, cap=DEFAULT_CAP):
     combos = {}
     for choice in itertools.product(*per_class):
         g = _disjoint_union(meas.names, choice)
-        combos[canonical_form(g).key] = g
+        combos[canonical_form(g)] = g
     return [g for _, g in sorted(combos.items())]
 
 
@@ -777,7 +777,7 @@ class TestNmMatchesReference:
         compared = 0
         for meas in nm_comparison_inputs(draws=50, stream=4, unions=5):
             got, want = lv.nm(meas), reference_nm(meas)
-            assert [lv.canonical_form(g).key for g in got] == [lv.canonical_form(g).key for g in want]
+            assert [lv.canonical_form(g) for g in got] == [lv.canonical_form(g) for g in want]
             assert got == want
             compared += 1
         assert compared > 50

@@ -108,10 +108,6 @@ class TestSimulate:
         assert panel.data.shape == (25, 3)
         assert panel.names == ("x1", "x2", "x3")
 
-    def test_string_names_rejected(self):
-        with pytest.raises(ValueError, match="names must be a sequence of strings"):
-            lv.simulate(scalar_ar1(), 5, names="a")
-
 
 def reference_simulate(model, t_len, burn_in=DEFAULT_BURN_IN, seed=0):
     """The one-step-per-sample loop that simulate replaced, kept as its reference."""
