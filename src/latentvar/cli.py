@@ -139,6 +139,7 @@ def model_from_json(obj: dict) -> tuple[mdl.LatentVarModel, tuple[str, ...]]:
         )
         model = mdl.LatentVarModel(blocks, float(obj["sigma_x2"]), float(obj["sigma_z2"]))
         names = mdl.name_tuple(_names(obj, "names"), "names") if "names" in obj else mdl.default_names(n)
+        _refuse_latent_labels(names)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad model JSON: {exc}") from exc
     return model, names

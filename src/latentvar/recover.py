@@ -41,6 +41,10 @@ from .model import (
 #: Initial-graph latent budget per connected class before NM gives up.
 DEFAULT_CAP = 40
 
+#: Networks nm screens, and merge candidates it builds and checks, at once;
+#: bounds its float64 working arrays.
+_CHUNK = 2048
+
 #: Hard limits of the exhaustive oracle.
 ORACLE_MAX_N = 6
 ORACLE_MAX_M = 5
@@ -213,50 +217,62 @@ def init_graph(meas: LinearMeasurements, cls: frozenset[int], cap: int = DEFAULT
     return UnobservedNetwork(meas.names, m, frozenset(edges))
 
 
-def _merge_blocks(p, b, q, x: int, y: int):
-    """Fold latent y into latent x in the (obs->latent, latent->latent,
-    latent->obs) blocks: drop the pair's mutual edges, hand y's parents and
-    children to x, and delete y's row and column."""
-    keep = np.arange(b.shape[0]) != y
-    p2, b2, q2 = p[keep], b[keep][:, keep], q[:, keep]
-    x -= x > y  # x's index once y is gone
-    p2[x] |= p[y]
-    b2[x] |= b[y, keep]
-    b2[:, x] |= b[keep, y]
-    b2[x, x] = 0  # edges between the merged pair vanish
-    q2[:, x] |= q[:, y]
+def _merge_blocks(p, b, q, f, x, y):
+    """Fold latent y[c] into latent x[c] of stacked network f[c], for every
+    candidate c, in the (obs->latent, latent->latent, latent->obs) block
+    stacks: drop the pair's mutual edges, hand y's parents and children to x,
+    and delete y's row and column.  One gather per block, then the folds."""
+    m = b.shape[1]
+    c = np.arange(len(f))
+    keep = np.arange(m - 1) + (np.arange(m - 1) >= y[:, None])  # old index of each kept latent
+    x = x - (x > y)  # x's index once y is gone
+    fk, yk = f[:, None], y[:, None]
+    p2 = p[fk, keep]
+    b2 = b[fk[:, :, None], keep[:, :, None], keep[:, None, :]]
+    q2 = q[fk[:, :, None], np.arange(q.shape[1])[:, None], keep[:, None, :]]
+    p2[c, x] |= p[f, y]
+    b2[c, x] |= b[fk, yk, keep]
+    b2[c, :, x] |= b[fk, keep, yk]
+    b2[c, x, x] = 0  # edges between the merged pair vanish
+    q2[c, :, x] |= q[f, :, y]
     return p2, b2, q2
 
 
-def _blocks_valid(p, b, q, supports) -> bool:
-    """Census of the block-form network equals ``supports`` (the S_1.. list)
-    entrywise with at most one path per pair and length, and the walk from
-    the observed nodes dies within the latent count (so no latent reachable
-    from an observed node lies on a cycle).  Past the supports only
-    reachability matters, so the walk saturates at 1 there, which keeps the
-    counts of a cyclic graph from overflowing.  The one census check of nm,
-    recover_tree and the oracle; int64 blocks, as boolean ones cap counts at 1."""
-    m = b.shape[0]
+def _blocks_valid(p, b, q, supports) -> np.ndarray:
+    """One verdict per network of the stacked blocks: its census equals
+    ``supports`` (the S_1.. list) entrywise with at most one path per pair
+    and length, and the walk from the observed nodes dies within the latent
+    count (so no latent reachable from an observed node lies on a cycle).
+    The one census check of nm, recover_tree and the oracle, the latter two
+    on a stack of one.  The walk runs in float64, where matmul is BLAS's,
+    and saturates at 2: min(sum b min(r, 2), 2) = min(sum b r, 2) for
+    non-negative integers, so the count > 1 and count > 0 tests stay exact
+    and a cyclic graph's counts stay small.  Networks that fail a step leave
+    the walk."""
+    p, b, q = (np.asarray(a, dtype=np.float64) for a in (p, b, q))
+    alive = np.arange(len(b))
     reach = p
-    for s in supports:
+    for k in range(len(supports) + b.shape[1]):
         cnt = q @ reach
-        if (cnt > 1).any() or not np.array_equal(cnt > 0, s):
-            return False
-        reach = b @ reach
-    for _ in range(m):
-        if not reach.any():
-            return True
-        if (q @ reach).any():
-            return False
-        reach = np.minimum(b @ reach, 1)
-    return not reach.any()
+        target = supports[k] if k < len(supports) else False  # no path past S_K
+        fits = ~((cnt > 1) | ((cnt > 0) != target)).any(axis=(1, 2))
+        if not fits.all():
+            alive, reach, b, q = alive[fits], reach[fits], b[fits], q[fits]
+        reach = np.minimum(b @ reach, 2)
+        if not len(alive) or k + 1 >= len(supports) and not reach.any():
+            break
+    valid = np.zeros(len(p), dtype=bool)
+    valid[alive[~reach.any(axis=(1, 2))]] = True
+    return valid
 
 
-def _screened_pairs(p, q) -> list[list[int]]:
-    """Latent pairs x < y, in combinations order, whose merge adds no length-2 path (see nm)."""
-    sp, sq = p.sum(1), q.sum(0)
-    new = np.outer(sp, sq) - sp[:, None] * (q.T @ q) - (p @ p.T) * sq
-    return np.argwhere(np.triu((new == 0) & (new.T == 0), 1)).tolist()
+def _screened_pairs(p, q) -> np.ndarray:
+    """Per stacked network, the symmetric mask of latent pairs whose merge
+    adds no length-2 path (see nm)."""
+    p, q = p.astype(np.float64), q.astype(np.float64)
+    sp, sq = p.sum(2)[:, :, None], q.sum(1)[:, None, :]
+    new = sp * sq - sp * (q.transpose(0, 2, 1) @ q) - (p @ p.transpose(0, 2, 1)) * sq
+    return (new == 0) & (new.transpose(0, 2, 1) == 0)
 
 
 def _disjoint_union(names: tuple[str, ...], nets: tuple[UnobservedNetwork, ...]) -> UnobservedNetwork:
@@ -292,6 +308,19 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     graph, so no minimal in-universe network is lost).  Classes combine by
     disjoint union; output is sorted by canonical key.
 
+    A level is one stack, as all its networks have the same latent count:
+    a row of partition labels per network (the merged latent each initial
+    latent lies in, in the narrowest unsigned dtype) and uint8 block stacks.
+    Each level screens every network's pairs, _CHUNK networks at a time,
+    giving candidates in frontier then combinations order; computes their
+    merged partitions and keeps the first candidate of each, found by a
+    stable lexsort of the rows, which is the candidate a per-pair memo of
+    seen partitions keeps, in the same order (validity depends on the
+    partition alone, so dedup before the check keeps the same set); then
+    merges and checks the kept candidates _CHUNK at a time.  So the float64
+    arrays of the screen and of _blocks_valid's walk hold at most _CHUNK
+    networks.
+
     No separate acyclicity test is needed.  Every latent of a merge graph
     lies on a path from an observed node: init_graph builds chains that start
     at observed nodes, and a merge keeps every other in-edge, so walks from
@@ -306,7 +335,9 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
 
     ``cap`` bounds only each class's initial merge graph (CapExceeded), not
     the levels after it: the 31-latent class of ``simulate --n 10 --m 5
-    --a 0.3 --seed 3`` still runs out of a 2 GB memory limit within a minute.
+    --a 0.3 --T 20000 --seed 3`` still runs out of a 2 GB memory limit, in
+    its fourth level (28 latents) after about 7 s on a 2-core box, as the
+    level's candidate arrays grow with its pair count.
     """
     classes = connected_classes(meas)
     per_class: list[list[UnobservedNetwork]] = []
@@ -318,24 +349,34 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
         # of _blocks_valid checks anyway, so the targets are not trimmed.
         targets = [s.astype(bool) & inside for s in meas.supports[1:]]
         g0 = init_graph(meas, cls, cap)
-        _, *blocks0 = (a.astype(np.int64) for a in g0.adjacency_blocks())
-        # index of each initial latent -> int64 blocks
-        frontier = {tuple(range(g0.latent_count)): blocks0}
+        label = np.min_scalar_type(g0.latent_count)
+        # a level: one row per network, the partition of the initial latents
+        # (each labelled by its merged latent) and the uint8 blocks
+        parts = np.arange(g0.latent_count, dtype=label)[None]
+        blocks = [a.astype(np.uint8)[None] for a in g0.adjacency_blocks()[1:]]
         while True:
-            nxt: dict[tuple[int, ...], tuple] = {}
-            seen: set[tuple[int, ...]] = set()  # partitions merged this level
-            for part, (p, b, q) in frontier.items():
-                for x, y in _screened_pairs(p, q):
-                    if (merged_part := tuple(x if t == y else t - (t > y) for t in part)) in seen:
-                        continue
-                    seen.add(merged_part)
-                    merged = _merge_blocks(p, b, q, x, y)
-                    if _blocks_valid(*merged, targets):
-                        nxt[merged_part] = merged
-            if not nxt:
+            screened = np.concatenate([_screened_pairs(blocks[0][s : s + _CHUNK], blocks[2][s : s + _CHUNK])
+                                       for s in range(0, len(parts), _CHUNK)])
+            f, x, y = np.nonzero(np.triu(screened, 1))  # frontier, then combinations order
+            if not len(f):
                 break
-            frontier = nxt
-        nets = [UnobservedNetwork.from_blocks(meas.names, *blocks) for blocks in frontier.values()]
+            xl, yl = x.astype(label)[:, None], y.astype(label)[:, None]
+            merged = parts[f]
+            merged = np.where(merged == yl, xl, merged - (merged > yl).astype(label))
+            # first candidate of each merged partition, in candidate order
+            order = np.lexsort(merged.T[::-1])
+            ranked = merged[order]
+            first = np.sort(order[np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]])
+            level = []
+            for s in range(0, len(first), _CHUNK):
+                cand = first[s : s + _CHUNK]
+                nxt = _merge_blocks(*blocks, f[cand], x[cand], y[cand])
+                ok = _blocks_valid(*nxt, targets)
+                level.append((merged[cand[ok]], *(a[ok] for a in nxt)))
+            if not any(len(got[0]) for got in level):
+                break
+            parts, *blocks = (np.concatenate(a) for a in zip(*level))
+        nets = [UnobservedNetwork.from_blocks(meas.names, *net) for net in zip(*blocks)]
         firsts = {canonical_form(g): g for g in reversed(nets)}
         per_class.append([firsts[key] for key in sorted(firsts)])
     if not per_class:
@@ -411,7 +452,7 @@ def recover_tree(meas: LinearMeasurements) -> UnobservedNetwork:
     _, p, b, q = (a.astype(np.int64) for a in g.adjacency_blocks())
     indeg, outdeg = p.sum(1) + b.sum(1), q.sum(0) + b.sum(0)
     if not (_latent_forest(b > 0) and (indeg >= 2).all() and (outdeg >= 2).all()
-            and _blocks_valid(p, b, q, meas.supports[1:])):
+            and _blocks_valid(p[None], b[None], q[None], meas.supports[1:])[0]):
         raise NotIdentifiable("0 candidate networks satisfy the tree conditions")
     return g
 
@@ -542,7 +583,7 @@ def _enumerate_consistent(meas: LinearMeasurements, m: int) -> list[UnobservedNe
             if z == m:
                 a_ol = np.array(pmask)[:, None] >> np.arange(n) & 1  # [z, i]: edge i -> z
                 a_lo = np.array(qmask) >> np.arange(n)[:, None] & 1  # [j, z]: edge z -> j
-                if _blocks_valid(a_ol, a_ll, a_lo, meas.supports[1:]):
+                if _blocks_valid(a_ol[None], a_ll[None], a_lo[None], meas.supports[1:])[0]:
                     solutions.append(UnobservedNetwork.from_blocks(meas.names, a_ol, a_ll, a_lo))
                 return
             for p in _submasks(p_allow[z]):

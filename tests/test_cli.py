@@ -812,6 +812,17 @@ class TestObservedNames:
         assert "observed name 'L5' has the form L<k> of a latent label" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_census_of_a_model_refuses_what_recover_refuses(self, tmp_path, capsys):
+        # census once wrote measurements of a model naming "L1", which recover then refused
+        obj = cli.model_to_json(lv.gen_drg(lv.DrgConfig(n=3, m=1, p=0.6, q=0.6, seed=5)), ["L1", "b", "c"])
+        path, out = tmp_path / "model.json", tmp_path / "meas.json"
+        cli.write_json(str(path), obj)
+        assert run(["census", str(path), "--out", str(out)]) == 2
+        assert "bad model JSON: observed name 'L1' has the form L<k> of a latent label" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(cli.InputError, match="'L1' has the form L<k>"):
+            cli.model_from_json(obj)
+
     def test_network_writer_refuses_observed_latent_label(self):
         # written, the edges would read ["L0", "L0"] and ["L0", "x"]
         net = lv.UnobservedNetwork(("L0", "x"), 1, frozenset({(0, 2), (2, 1)}))

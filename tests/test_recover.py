@@ -434,7 +434,7 @@ class TestBlocksValidMatchesReference:
                 # h against g's census, and g against h's
                 for net, target in ((h, meas), (g, lv.complete_census(h))):
                     want = reference_single_path_consistent(net, target)
-                    assert _blocks_valid(*int_blocks(net), target.supports[1:]) == want
+                    assert valid_one(int_blocks(net), target.supports[1:]) == want
                     outcomes.append(want)
         assert len(outcomes) > 1000 and multi > 0
         assert {True, False} <= set(outcomes)
@@ -575,7 +575,7 @@ class TestInitGraph:
 
 
 def int_blocks(g):
-    """g's (obs->latent, latent->latent, latent->obs) blocks in the int64 form nm holds."""
+    """g's (obs->latent, latent->latent, latent->obs) blocks as int64 arrays."""
     return [a.astype(np.int64) for a in g.adjacency_blocks()[1:]]
 
 
@@ -584,23 +584,35 @@ def census_targets(meas):
     return [s.astype(bool) for s in meas.supports[1:]]
 
 
+def merge_one(blocks, x, y):
+    """_merge_blocks on a stack of one network and one pair, unstacked."""
+    one = np.zeros(1, dtype=np.intp)
+    return [a[0] for a in _merge_blocks(*(a[None] for a in blocks), one, one + x, one + y)]
+
+
+def valid_one(blocks, targets):
+    """_blocks_valid's verdict on one network, as a stack of one."""
+    (verdict,) = _blocks_valid(*(a[None] for a in blocks), targets)
+    return bool(verdict)
+
+
 class TestMerge:
     def test_parallel_paths(self):
         g = lv.UnobservedNetwork(
             ("1", "2"), 2, frozenset({(0, 2), (2, 1), (0, 3), (3, 1)})
         )
-        merged = UnobservedNetwork.from_blocks(g.observed, *_merge_blocks(*int_blocks(g), 0, 1))
+        merged = UnobservedNetwork.from_blocks(g.observed, *merge_one(int_blocks(g), 0, 1))
         assert merged.latent_count == 1
         assert merged.edges == frozenset({(0, 2), (2, 1)})
 
     def test_chain_drops_mutual_edge(self):
         g = lv.UnobservedNetwork(("1", "2"), 2, frozenset({(0, 2), (2, 3), (3, 1)}))
-        merged = UnobservedNetwork.from_blocks(g.observed, *_merge_blocks(*int_blocks(g), 0, 1))
+        merged = UnobservedNetwork.from_blocks(g.observed, *merge_one(int_blocks(g), 0, 1))
         assert merged.edges == frozenset({(0, 2), (2, 1)})
 
     def test_observed_set_preserved(self):
         g = lv.UnobservedNetwork(("a", "b"), 2, frozenset({(0, 2), (3, 1)}))
-        p, b, q = _merge_blocks(*int_blocks(g), 0, 1)
+        p, b, q = merge_one(int_blocks(g), 0, 1)
         assert p.shape == (1, 2) and b.shape == (1, 1) and q.shape == (2, 1)
 
 
@@ -608,7 +620,7 @@ class TestCheck:
     def test_shortening_required_path_fails(self):
         meas = meas_from_entries(2, [(2, 0, 1)])
         g = lv.init_graph(meas, frozenset({0, 1}))
-        assert not _blocks_valid(*_merge_blocks(*int_blocks(g), 0, 1), census_targets(meas))
+        assert not valid_one(merge_one(int_blocks(g), 0, 1), census_targets(meas))
 
     def test_ambiguous_example_level_one_merge(self, ambig_meas):
         g = lv.init_graph(ambig_meas, frozenset({0, 1, 2, 3}))
@@ -620,8 +632,8 @@ class TestCheck:
         assert len(heads) == len(tails) == 2
         # one shared tail keeps a single path per length; one shared head
         # gives 1 two paths of length 3 to 4
-        assert _blocks_valid(*_merge_blocks(*int_blocks(g), *tails), targets)
-        assert not _blocks_valid(*_merge_blocks(*int_blocks(g), *heads), targets)
+        assert valid_one(merge_one(int_blocks(g), *tails), targets)
+        assert not valid_one(merge_one(int_blocks(g), *heads), targets)
 
     def test_cycle_creating_merge_fails(self):
         # 1 -> a -> b -> 2 and 1 -> c -> a; merging b and c makes a 2-cycle
@@ -629,7 +641,7 @@ class TestCheck:
             ("1", "2"), 3, frozenset({(0, 2), (2, 3), (3, 1), (0, 4), (4, 2)})
         )
         meas = lv.complete_census(g)
-        assert not _blocks_valid(*_merge_blocks(*int_blocks(g), 1, 2), census_targets(meas))
+        assert not valid_one(merge_one(int_blocks(g), 1, 2), census_targets(meas))
 
 
 class TestNm:
@@ -687,7 +699,8 @@ class TestNm:
 def reference_nm(meas, cap=DEFAULT_CAP):
     """``nm`` as it was when every level tried every latent pair of every
     frontier network and merged each one.  Kept as the reference for the
-    length-2 screen and the partition memo; its body is unchanged."""
+    length-2 screen, the partition memo and the stacked levels; its body is
+    unchanged but for calling the stacked helpers on one pair at a time."""
     classes = connected_classes(meas)
     per_class: list[list[UnobservedNetwork]] = []
     for cls in classes:
@@ -705,8 +718,8 @@ def reference_nm(meas, cap=DEFAULT_CAP):
             nxt: dict[bytes, tuple] = {}
             for _, (p, b, q) in frontier.values():
                 for x, y in itertools.combinations(range(b.shape[0]), 2):
-                    merged = _merge_blocks(p, b, q, x, y)
-                    if not _blocks_valid(*merged, targets):
+                    merged = merge_one((p, b, q), x, y)
+                    if not valid_one(merged, targets):
                         continue
                     g = UnobservedNetwork.from_blocks(meas.names, *merged)
                     nxt.setdefault(canonical_form(g), (g, merged))
@@ -822,22 +835,40 @@ class TestMergeScreen:
                 for _level in range(2):
                     nxt = []
                     for p, b, q in frontier:
-                        screened = {tuple(xy) for xy in _screened_pairs(p, q)}
-                        for x, y in itertools.combinations(range(b.shape[0]), 2):
-                            merged = _merge_blocks(p, b, q, x, y)
-                            cnt = merged[2] @ merged[0]
+                        (screened,) = _screened_pairs(p[None], q[None])
+                        xs, ys = np.triu_indices(b.shape[0], 1)  # every pair, in combinations order
+                        merged = _merge_blocks(p[None], b[None], q[None], np.zeros_like(xs), xs, ys)
+                        for (x, y), mp, mb, mq, valid in zip(zip(xs.tolist(), ys.tolist()), *merged, _blocks_valid(*merged, targets)):
+                            cnt = mq @ mp
                             exact = (cnt <= 1).all() and np.array_equal(cnt > 0, targets[0])
-                            assert ((x, y) in screened) == exact
+                            assert screened[x, y] == screened[y, x] == exact
                             verdicts.append(exact)
-                            if _blocks_valid(*merged, targets):
-                                nxt.append(merged)
+                            if valid:
+                                nxt.append((mp, mb, mq))
                     frontier = nxt
         assert any(verdicts) and not all(verdicts)
 
     def test_screened_pairs_in_combinations_order(self):
-        p = np.zeros((5, 1), dtype=np.int64)
-        q = np.zeros((1, 5), dtype=np.int64)
-        assert _screened_pairs(p, q) == [list(xy) for xy in itertools.combinations(range(5), 2)]
+        # nm reads its candidates off the upper triangle of the stacked
+        # masks: frontier order, then combinations order
+        p = np.zeros((2, 5, 1), dtype=np.uint8)
+        q = np.zeros((2, 1, 5), dtype=np.uint8)
+        f, x, y = np.nonzero(np.triu(_screened_pairs(p, q), 1))
+        pairs = list(itertools.combinations(range(5), 2))
+        assert list(zip(f.tolist(), x.tolist(), y.tolist())) == [(k, *xy) for k in (0, 1) for xy in pairs]
+
+    def test_screened_pairs_of_a_stack(self):
+        # network 0 admits no pair, network 2 every pair, and network 1 all
+        # but (0, 1), whose merge makes the length-2 path 0 -> z -> 0
+        p = np.zeros((3, 3, 1), dtype=np.uint8)
+        q = np.zeros((3, 1, 3), dtype=np.uint8)
+        p[0], q[0] = 1, 1
+        p[1, 0, 0] = q[1, 0, 1] = 1
+        screened = _screened_pairs(p, q)
+        assert screened.dtype == bool and screened.shape == (3, 3, 3)
+        assert [_screened_pairs(p[f : f + 1], q[f : f + 1])[0].tolist() for f in range(3)] == screened.tolist()
+        assert not screened[0].any() and screened[2].all()
+        assert screened[1].tolist() == [[True, False, True], [False, True, True], [True, True, True]]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_a_partition_merged_in_any_order_gives_the_same_blocks(self, seed):
@@ -859,7 +890,7 @@ class TestMergeScreen:
                 for a, c in (same[i] for i in rng.permutation(len(same))):
                     x, y = sorted((part[a], part[c]))
                     if x != y:
-                        blocks, part = _merge_blocks(*blocks, x, y), merged_partition(part, x, y)
+                        blocks, part = merge_one(blocks, x, y), merged_partition(part, x, y)
                         merges += 1
                 results.append((part, [blk.tobytes() for blk in blocks], [blk.shape for blk in blocks]))
             assert results[0] == results[1]
@@ -943,7 +974,7 @@ class TestMergeMatchesEdgeContraction:
             for u in net.latent_ids:
                 for v in net.latent_ids:
                     if u != v:
-                        merged = _merge_blocks(*int_blocks(net), u - net.n, v - net.n)
+                        merged = merge_one(int_blocks(net), u - net.n, v - net.n)
                         assert UnobservedNetwork.from_blocks(net.observed, *merged) == merge_by_edges(net, u, v)
                         pairs += 1
 
@@ -970,18 +1001,108 @@ class TestMergeSearchRejectsCycles:
             nxt = []
             for blocks in frontier:
                 for x, y in itertools.combinations(range(blocks[1].shape[0]), 2):
-                    merged = _merge_blocks(*blocks, x, y)
+                    merged = merge_one(blocks, x, y)
                     if not UnobservedNetwork.from_blocks(meas.names, *merged).latent_subgraph_is_dag():
                         cyclic += 1
-                        assert not _blocks_valid(*merged, targets)
+                        assert not valid_one(merged, targets)
                     nxt.append(merged)
             frontier = nxt
         assert cyclic > 0
 
 
+class TestStackedCensusCheck:
+    def test_stack_verdicts_equal_the_verdicts_of_its_slices(self):
+        # every merge of the first two levels, one stack per level: valid,
+        # census-breaking and cyclic candidates side by side, checked against
+        # the targets and against them with an all-zero trailing target
+        kinds = []
+        for entries in ([(2, 0, 1), (2, 1, 0)], [(2, 0, 1), (3, 1, 2), (1, 2, 0)], [(1, 1, 2), (2, 0, 3), (2, 1, 3)]):
+            meas = meas_from_entries(4, entries)
+            targets = census_targets(meas)
+            stack = [a[None] for a in int_blocks(lv.init_graph(meas, frozenset(range(4))))]
+            for _level in range(2):
+                xs, ys = np.triu_indices(stack[1].shape[1], 1)
+                size = len(stack[0])
+                stack = _merge_blocks(*stack, np.repeat(np.arange(size), len(xs)), np.tile(xs, size), np.tile(ys, size))
+                nets = list(zip(*stack))
+                cyclic = np.array([not UnobservedNetwork.from_blocks(meas.names, *net).latent_subgraph_is_dag() for net in nets])
+                verdicts = _blocks_valid(*stack, targets)
+                assert verdicts.dtype == bool and verdicts.shape == (len(nets),)
+                assert verdicts.tolist() == [valid_one(net, targets) for net in nets]
+                trailing = [*targets, np.zeros_like(targets[0])]
+                assert _blocks_valid(*stack, trailing).tolist() == [valid_one(net, trailing) for net in nets] == verdicts.tolist()
+                assert not (verdicts & cyclic).any()
+                kinds.append({kind for kind, seen in (("valid", verdicts), ("cyclic", cyclic), ("census", ~verdicts & ~cyclic)) if seen.any()})
+        assert {"valid", "cyclic", "census"} in kinds  # one stack holds all three
+
+
+class TestNmChunks:
+    def test_chunk_boundaries_do_not_change_the_output(self, monkeypatch):
+        # the 2 x 4 star census: one latent, 2 observed parents, 4 children
+        star = UnobservedNetwork(tuple("123456"), 1, frozenset({(0, 6), (1, 6), (6, 2), (6, 3), (6, 4), (6, 5)}))
+        inputs = [*nm_comparison_inputs(draws=50, stream=0, unions=0), lv.complete_census(star)]
+        want = [reference_nm(meas) for meas in inputs]
+        for chunk in (1, 3):
+            monkeypatch.setattr("latentvar.recover._CHUNK", chunk)
+            got = [lv.nm(meas) for meas in inputs]
+            assert [[lv.canonical_form(g) for g in nets] for nets in got] == [[lv.canonical_form(g) for g in nets] for nets in want]
+            assert got == want
+
+
+def per_pair_candidates(meas):
+    """The merges nm's per-pair level loop checked, in order: per class and
+    level, each frontier network's screened pairs in combinations order,
+    skipping a partition already merged at that level.  Kept as the
+    reference for the order of the stacked levels."""
+    checked = []
+    for cls in connected_classes(meas):
+        inside = np.zeros(meas.n, dtype=bool)
+        inside[list(cls)] = True
+        targets = [s.astype(bool) & np.outer(inside, inside) for s in meas.supports[1:]]
+        blocks0 = int_blocks(init_graph(meas, cls))
+        frontier = {tuple(range(blocks0[1].shape[0])): blocks0}
+        while frontier:
+            nxt, seen = {}, set()
+            for part, (p, b, q) in frontier.items():
+                (screened,) = _screened_pairs(p[None], q[None])
+                for x, y in itertools.combinations(range(b.shape[0]), 2):
+                    if screened[x, y] and (merged_part := merged_partition(part, x, y)) not in seen:
+                        seen.add(merged_part)
+                        checked.append(merged := merge_one((p, b, q), x, y))
+                        if valid_one(merged, targets):
+                            nxt[merged_part] = merged
+            frontier = nxt
+    return checked
+
+
+class TestNmLevelOrder:
+    @pytest.mark.parametrize("chunk", [2048, 3])
+    def test_candidates_checked_in_the_per_pair_order(self, chunk, monkeypatch):
+        # the stacked dedup keeps the first candidate of each partition and
+        # checks the kept ones in candidate order, as the per-pair loop did
+        star = UnobservedNetwork(tuple("123456"), 1, frozenset({(0, 6), (1, 6), (6, 2), (6, 3), (6, 4), (6, 5)}))
+        checked = []
+
+        def spy(p, b, q, supports):
+            checked.extend(zip(p, b, q))
+            return _blocks_valid(p, b, q, supports)
+
+        monkeypatch.setattr("latentvar.recover._CHUNK", chunk)
+        monkeypatch.setattr("latentvar.recover._blocks_valid", spy)
+        key = lambda blocks: [(a.shape, a.astype(np.uint8).tobytes()) for a in blocks]  # noqa: E731
+        compared = 0
+        for meas in [*nm_comparison_inputs(draws=20, stream=2, unions=2), lv.complete_census(star)]:
+            checked.clear()
+            lv.nm(meas)
+            want = per_pair_candidates(meas)
+            assert [key(c) for c in checked] == [key(c) for c in want]
+            compared += len(want)
+        assert compared > 1000
+
+
 class TestMergeSearchLevels:
     def test_merge_decreases_count_by_one(self, ambig_meas):
         g = lv.init_graph(ambig_meas, frozenset({0, 1, 2, 3}))
-        p, b, q = _merge_blocks(*int_blocks(g), 0, 1)
+        p, b, q = merge_one(int_blocks(g), 0, 1)
         assert b.shape == (g.latent_count - 1, g.latent_count - 1)
         assert p.shape[0] == q.shape[1] == g.latent_count - 1
