@@ -119,6 +119,15 @@ def _cond(lam: np.ndarray) -> float:
     return float(lam[-1]) / float(lam[0]) if lam[0] > 0 else math.inf
 
 
+def _edge_rows(x: np.ndarray, k: int) -> np.ndarray:
+    """The 2k zero-padded rows [x_u; ..; x_{u-k}], u = 0..k-1 and T..T+k-1, of
+    the centred data x: the rows of the lagged moments that a lag-(k-1)
+    regression has no sample for, one n(k+1) stacked row each."""
+    n = x.shape[1]
+    edge = np.vstack([np.zeros((k, n)), x[:k], x[-k:], np.zeros((k, n))])
+    return np.hstack([edge[np.r_[k : 2 * k, 3 * k : 4 * k] - j] for j in range(k + 1)])
+
+
 def _lagged_fit(
     gammas: Sequence[np.ndarray], l: int, x: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -142,8 +151,7 @@ def _lagged_fit(
     coeffs = np.linalg.solve(big, g[n:, :n]).T
     if x is not None:
         k, t_len = l + 1, x.shape[0]
-        edge = np.vstack([np.zeros((k, n)), x[:k], x[-k:], np.zeros((k, n))])
-        e = np.hstack([edge[np.r_[k : 2 * k, 3 * k : 4 * k] - j] for j in range(k + 1)])
+        e = _edge_rows(x, k)
         g = (t_len * g - e.T @ e) / (t_len - k)
     w = np.hstack([np.eye(n), -coeffs])
     return big, [coeffs[:, j * n : (j + 1) * n] for j in range(l + 1)], w @ g @ w.T
@@ -195,6 +203,40 @@ def fit_coefficients(panel: TimeSeriesPanel, l: int) -> EstimationReport:
     )
 
 
+def _whittle(gammas: Sequence[np.ndarray], l_top: int, x: np.ndarray | None = None):
+    """Yield ([B_0 .. B_l] side by side, Sigma) for l = 0..l_top, what
+    _lagged_fit(gammas, l, x) gives without its Gamma(l), by Whittle's
+    recursion over gamma(0..l_top+1) (P. Whittle, Biometrika 50, 1963);
+    Gamma(l_top) must be positive definite.
+
+    A = [A_1 .. A_p] predicts X(t) from X(t-1..t-p) and D = [D_p .. D_1]
+    X(t-p-1) from the same p values, with error covariances V and U.  Their
+    errors' cross covariance delta = gamma(p+1) - A [gamma(p); ..; gamma(1)]
+    takes order p to p + 1: A gains delta U^-1 as its last block, D gains
+    delta^T V^-1 as its first, and each loses that gain times the other's
+    blocks in reverse.  Each order costs two n x n solves.  The lag-l fit is
+    order p = l + 1, with B = A and V the Toeplitz residual covariance
+    w G w^T, w = [I, -B]; Sigma is V, or given the centred data x, the
+    corrected (T V - (E w^T)^T (E w^T)) / (T - l - 1) of _lagged_fit, E its
+    boundary rows (_edge_rows).
+    """
+    n = gammas[0].shape[0]
+    down = np.vstack(gammas[l_top:0:-1])  # [gamma(l_top); ..; gamma(1)]
+    fwd = bwd = np.empty((n, 0))
+    v = u = gammas[0]
+    for k in range(1, l_top + 2):  # the order reached, l + 1
+        delta = gammas[k] - fwd @ down[(l_top + 1 - k) * n :]
+        k_f = np.linalg.solve(u, delta.T).T  # delta U^-1; U, V are symmetric
+        k_b = np.linalg.solve(v, delta).T  # delta^T V^-1
+        fwd, bwd = np.hstack([fwd - k_f @ bwd, k_f]), np.hstack([k_b, bwd - k_b @ fwd])
+        v, u = v - k_f @ delta.T, u - k_b @ delta
+        if x is None:
+            yield fwd, v
+        else:
+            ew = _edge_rows(x, k) @ np.hstack([np.eye(n), -fwd]).T
+            yield fwd, (x.shape[0] * v - ew.T @ ew) / (x.shape[0] - k)
+
+
 def select_lag(panel: TimeSeriesPanel, l_max: int, criterion: str = "aic") -> int:
     """Pick the fit lag in 1..min(l_max, (T - 1) // 2n), the lags with
     l n < T/2, by AIC or FPE; ties go to the smaller lag.
@@ -204,8 +246,17 @@ def select_lag(panel: TimeSeriesPanel, l_max: int, criterion: str = "aic") -> in
     ln FPE(l) = ln det Sigma(l) + n ln((T + n l + 1) / (T - n l - 1)), with
     Sigma(l) the residual covariance of the lag-l fit (fit_coefficients'
     residual_cov); ln FPE has FPE's argmin and does not underflow or overflow
-    with the data's units.  The autocovariances are computed once and shared
-    by every lag.
+    with the data's units.
+
+    The autocovariances are computed once and shared by every lag, and one
+    eigvalsh of Gamma(l_top) picks how the lags are fitted.  Each Gamma(l) is
+    a leading principal submatrix of Gamma(l_top), so by Cauchy interlacing
+    none has a larger condition number.  Below COND_LIMIT / 2, a margin far
+    wider than eigvalsh's rounding there, no lag would get the ridge, and
+    Whittle's recursion (_whittle) gives every lag's Sigma(l) from n x n
+    solves.  Otherwise each lag is fitted on its own by _lagged_fit, ridge
+    and SingularCovariance included.  fit_coefficients still solves Gamma(l)
+    densely, so the reported fit does not depend on the path taken here.
     """
     if criterion not in ("aic", "fpe"):
         raise ValueError(f"criterion must be 'aic' or 'fpe', got {criterion!r}")
@@ -217,9 +268,12 @@ def select_lag(panel: TimeSeriesPanel, l_max: int, criterion: str = "aic") -> in
         raise InsufficientData(f"panel too short to select any lag: T = {t_len} <= 2n = {2 * n}")
     x = _centered(panel)
     gammas = [_autocov_at(x, h) for h in range(l_top + 2)]
+    if _cond(np.linalg.eigvalsh(block_toeplitz(gammas[: l_top + 1]))) < COND_LIMIT / 2:
+        sigmas = [sigma for _, sigma in _whittle(gammas, l_top, x)][1:]
+    else:
+        sigmas = [_lagged_fit(gammas, l, x)[2] for l in range(1, l_top + 1)]
     best_l, best_score = 1, math.inf
-    for l in range(1, l_top + 1):
-        sigma = _lagged_fit(gammas, l, x)[2]
+    for l, sigma in enumerate(sigmas, start=1):
         sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:
             logdet = -math.inf

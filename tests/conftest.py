@@ -236,6 +236,18 @@ def gen_stationary_model(rng: np.random.Generator, n_max: int = 5, m_max: int = 
     )
 
 
+def var1_model(rng: np.random.Generator, n: int) -> lv.LatentVarModel:
+    """Random latent-free VAR(1) with spectral radius below 0.9."""
+    a11 = np.where(rng.random((n, n)) < 0.7, rng.uniform(-0.4, 0.4, (n, n)), 0.0)
+    radius = np.max(np.abs(np.linalg.eigvals(a11)))
+    if radius >= 0.9:
+        a11 *= 0.85 / radius
+    blocks = lv.BlockTransitionMatrix(
+        a11, np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0))
+    )
+    return lv.LatentVarModel(blocks)
+
+
 def matches_tree_recovery(true_net: lv.UnobservedNetwork, rec_net: lv.UnobservedNetwork) -> bool:
     """Tree-recovery contract under some latent bijection: latent-latent and
     latent-to-observed edges exactly equal, observed-to-latent contained."""

@@ -27,7 +27,9 @@ from conftest import (
     gen_stationary_model,
     gen_unique_parent_tree,
     matches_tree_recovery,
+    var1_model,
 )
+from latentvar.simulate import DEFAULT_BURN_IN, _observed_path
 
 
 def report(num: int, ok: bool, detail: str = ""):
@@ -304,3 +306,61 @@ def test_companion_latent_budget_boundary(ambig_meas):
     assert len(lv.nm(ambig_meas, cap=5)) == 2
     with pytest.raises(lv.CapExceeded):
         lv.nm(ambig_meas, cap=4)
+
+
+# --- companions: the abstract's claim that the results hold for non-Gaussian
+# noise, on the recursion simulate runs, fed unit-variance draws of other
+# families
+
+NOISE_FAMILIES = {  # draw, excess kurtosis
+    "laplace": (lambda rng, shape: rng.laplace(0.0, np.sqrt(0.5), shape), 3.0),
+    "t5": (lambda rng, shape: rng.standard_t(5, shape) * np.sqrt(0.6), 6.0),
+    "uniform": (lambda rng, shape: rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), shape), -1.2),
+}
+
+
+def simulate_noise(model, t_len, family, seed):
+    """lv.simulate with the noise drawn from another family."""
+    rng = np.random.default_rng(seed)
+    noise = NOISE_FAMILIES[family][0](rng, (DEFAULT_BURN_IN + t_len, model.n + model.m))
+    noise *= np.sqrt(np.repeat([model.sigma_x2, model.sigma_z2], [model.n, model.m]))
+    path = _observed_path(model.blocks.full(), noise, model.n)
+    return lv.TimeSeriesPanel(lv.default_names(model.n), path[DEFAULT_BURN_IN:])
+
+
+@pytest.mark.parametrize("family", NOISE_FAMILIES)
+def test_companion_noise_families_are_unit_variance_and_non_gaussian(family):
+    draw, kurtosis = NOISE_FAMILIES[family]
+    e = draw(np.random.default_rng(0), 400_000)
+    excess = np.mean(e**4) / np.var(e) ** 2 - 3.0
+    assert abs(np.var(e) - 1.0) < 0.01
+    assert abs(excess - kurtosis) < 0.5 * abs(kurtosis)
+
+
+@pytest.mark.parametrize("family", NOISE_FAMILIES)
+def test_companion_z_test_size_under_non_gaussian_noise(family):
+    """On latent-free DRG(10, 0) models, T = 4000 and lag 1, the z-test rejects
+    a true zero entry of B_0 or B_1 at rate alpha, within 4 binomial sigmas."""
+    alpha, false_pos, zeros = 0.05, 0, 0
+    for seed in range(100):
+        model = lv.gen_drg(lv.DrgConfig(n=10, m=0, p=0.4, q=0.4, a=0.3, seed=seed))
+        report = lv.fit_coefficients(simulate_noise(model, 4000, family, seed), 1)
+        lv.extract_support(report, alpha)
+        null = [model.blocks.a11 == 0, np.ones((10, 10), dtype=bool)]  # true B_1 = 0
+        supports = list(report.supports.supports) + [np.zeros((10, 10))]
+        false_pos += sum(int(s[z].sum()) for s, z in zip(supports, null))
+        zeros += sum(int(z.sum()) for z in null)
+    rate = false_pos / zeros
+    assert abs(rate - alpha) <= 4.0 * np.sqrt(alpha * (1.0 - alpha) / zeros), rate
+
+
+@pytest.mark.parametrize("family", NOISE_FAMILIES)
+def test_companion_var1_lag_under_non_gaussian_noise(family):
+    """AIC picks lag 1 on latent-free VAR(1) draws as often as it must under
+    Gaussian noise (test_estimate's test_var1_monte_carlo)."""
+    hits = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed + 1000)
+        panel = simulate_noise(var1_model(rng, 4), 10_000, family, seed)
+        hits += lv.select_lag(panel, 4, "aic") == 1
+    assert hits >= 95

@@ -9,23 +9,12 @@ import numpy as np
 import pytest
 
 import latentvar as lv
-from conftest import gen_stationary_model
+from conftest import gen_stationary_model, var1_model
 
 
 def scalar_ar1(a=0.5):
     blocks = lv.BlockTransitionMatrix(
         [[a]], np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0))
-    )
-    return lv.LatentVarModel(blocks)
-
-
-def var1_model(rng, n):
-    a11 = np.where(rng.random((n, n)) < 0.7, rng.uniform(-0.4, 0.4, (n, n)), 0.0)
-    radius = np.max(np.abs(np.linalg.eigvals(a11)))
-    if radius >= 0.9:
-        a11 *= 0.85 / radius
-    blocks = lv.BlockTransitionMatrix(
-        a11, np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0))
     )
     return lv.LatentVarModel(blocks)
 
@@ -38,6 +27,30 @@ def population_fit(model, lag):
 def drg_panel(seed, t_len=2000):
     model = lv.gen_drg(lv.DrgConfig(n=5, m=4, p=0.4, q=0.4, a=0.3, seed=seed))
     return lv.simulate(model, t_len, seed=seed)
+
+
+def dup_panel():
+    """A DRG panel plus a copy of its first series: every Gamma(l) is singular."""
+    panel = drg_panel(11)
+    return lv.TimeSeriesPanel(panel.names + ("dup",), np.column_stack([panel.data, panel.data[:, 0]]))
+
+
+def cos_panel():
+    """Gamma(1) below COND_LIMIT (9.5e9) and Gamma(2) above it (5.3e12): a faint
+    sinusoid beside white noise is nearly a linear function of its two lags."""
+    t_len = 2000
+    noise = np.random.default_rng(0).standard_normal(t_len)
+    return lv.TimeSeriesPanel(("a", "b"), np.column_stack([noise, 3e-5 * np.cos(0.7 * np.arange(t_len))]))
+
+
+@pytest.fixture
+def no_lagged_fit(monkeypatch):
+    """Make the per-lag dense fit raise, so that a test shows select_lag scores
+    every lag by the recursion."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the per-lag fit was reached")
+
+    monkeypatch.setattr(lv.estimate, "_lagged_fit", refuse)
 
 
 def reference_residual_cov(panel, report):
@@ -235,8 +248,7 @@ class TestLaggedMoments:
         self.assert_matches_reference(drg_panel(seed), l)
 
     def test_ridge_firing_panel(self):
-        panel = drg_panel(11)
-        dup = lv.TimeSeriesPanel(panel.names + ("dup",), np.column_stack([panel.data, panel.data[:, 0]]))
+        dup = dup_panel()
         gammas = [lv.autocov(dup, h) for h in range(2)]
         assert np.linalg.cond(lv.block_toeplitz(gammas)) >= lv.estimate.COND_LIMIT
         self.assert_matches_reference(dup, 1)
@@ -256,10 +268,11 @@ class TestLaggedMoments:
         self.assert_matches_reference(lv.simulate(lv.LatentVarModel(blocks), 5000, seed=2), l)
 
     @pytest.mark.parametrize("criterion", ["aic", "fpe"])
-    def test_select_lag_matches_reference(self, criterion):
-        for seed in range(20):
-            panel = drg_panel(100 + seed, t_len=1000)
-            assert lv.select_lag(panel, 4, criterion) == reference_select_lag(panel, 4, criterion)
+    def test_select_lag_matches_reference(self, criterion, request):
+        panels = [drg_panel(100 + seed, t_len=1000) for seed in range(20)]
+        want = [reference_select_lag(panel, 4, criterion) for panel in panels]
+        request.getfixturevalue("no_lagged_fit")
+        assert [lv.select_lag(panel, 4, criterion) for panel in panels] == want
 
     def test_population_residual_is_gamma0_minus_fit(self):
         rng = np.random.default_rng(5)
@@ -271,6 +284,68 @@ class TestLaggedMoments:
             blocks, sigma = lv.fit_from_autocovariances(gammas, l)
             want = gammas[0] - sum(b @ gammas[k + 1].T for k, b in enumerate(blocks))
             np.testing.assert_allclose(sigma, want, rtol=0, atol=1e-12 * np.max(np.abs(gammas[0])))
+
+
+class TestWhittleScan:
+    """select_lag's recursion against the dense per-lag fit, and the one
+    eigvalsh of Gamma(l_top) that chooses between them."""
+
+    @staticmethod
+    def assert_matches_dense_fit(gammas, l_top, x=None):
+        for l, (coeffs, sigma) in enumerate(lv.estimate._whittle(gammas, l_top, x)):
+            blocks, want_sigma = lv.estimate._lagged_fit(gammas, l, x)[1:]
+            want = np.hstack(blocks)
+            np.testing.assert_allclose(coeffs, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+            np.testing.assert_allclose(sigma, want_sigma, rtol=0, atol=1e-12 * np.max(np.abs(want_sigma)))
+        assert l == l_top
+
+    def test_population_autocovariances(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            model = gen_stationary_model(rng)
+            l_top = int(rng.integers(1, 6))
+            gammas = [lv.population_autocov(model, h) for h in range(l_top + 2)]
+            self.assert_matches_dense_fit(gammas, l_top)
+
+    @pytest.mark.parametrize("t_len", [12, 40, 2000])
+    def test_panels_with_the_boundary_correction(self, t_len):
+        # at T = 12 (l_top = 1) the 4 boundary rows weigh a third of the moments
+        for seed in range(3):
+            panel = drg_panel(seed, t_len)
+            x = panel.data - panel.data.mean(axis=0)
+            l_top = min(4, (t_len - 1) // (2 * panel.n))
+            self.assert_matches_dense_fit([lv.autocov(panel, h) for h in range(l_top + 2)], l_top, x)
+
+    @pytest.mark.parametrize("criterion", ["aic", "fpe"])
+    def test_mc_sized_panel(self, criterion, request):
+        # DRG(40, 40) at T = 20000 and l_max = 6, the mc-estimate benchmark's size
+        model = lv.gen_drg(lv.DrgConfig(n=40, m=40, p=0.4, q=0.4, a=0.1, seed=1))
+        panel = lv.simulate(model, 20_000, seed=1)
+        x = panel.data - panel.data.mean(axis=0)
+        self.assert_matches_dense_fit([lv.autocov(panel, h) for h in range(8)], 6, x)
+        want = reference_select_lag(panel, 6, criterion)
+        request.getfixturevalue("no_lagged_fit")
+        assert lv.select_lag(panel, 6, criterion) == want
+
+    @pytest.mark.parametrize("criterion", ["aic", "fpe"])
+    @pytest.mark.parametrize("make_panel", [dup_panel, cos_panel])
+    def test_ill_conditioned_panels_fit_each_lag(self, make_panel, criterion, monkeypatch):
+        panel = make_panel()
+        want = reference_select_lag(panel, 4, criterion)
+        fitted, fit = [], lv.estimate._lagged_fit
+
+        def spy(gammas, l, x=None):
+            fitted.append(l)
+            return fit(gammas, l, x)
+
+        monkeypatch.setattr(lv.estimate, "_lagged_fit", spy)
+        assert lv.select_lag(panel, 4, criterion) == want
+        assert fitted == [1, 2, 3, 4]
+
+    def test_cos_panel_straddles_the_limit(self):
+        gammas = [lv.autocov(cos_panel(), h) for h in range(3)]
+        conds = [np.linalg.cond(lv.block_toeplitz(gammas[: l + 1])) for l in (1, 2)]
+        assert conds[0] < lv.estimate.COND_LIMIT / 2 and conds[1] > lv.estimate.COND_LIMIT
 
 
 class TestProp1Bound:
