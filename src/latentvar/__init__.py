@@ -44,16 +44,10 @@ from .model import (
 )
 from .recover import (
     DEFAULT_CAP,
-    NodeProfile,
-    connected_classes,
-    distance_matrix,
     dtr,
-    init_graph,
     nm,
-    node_profiles,
     oracle_minimal,
     recover_tree,
-    unique_parents,
 )
 from .simulate import (
     DrgConfig,

@@ -7,7 +7,7 @@ Three recovery routes plus a small-scale exhaustive oracle:
                       every latent leaf a unique observed child.
 * ``nm``           -- node-merging search returning every consistent network
                       with the minimum number of latent nodes.
-* ``recover_tree`` -- the unique realization when the unobserved network is a
+* ``recover_tree`` -- one realization when the unobserved network is a
                       directed tree whose latent nodes all have two parents
                       and two children, built in one pass from the latent
                       path lengths (no search).
@@ -44,6 +44,10 @@ DEFAULT_CAP = 40
 #: Networks nm screens, and merge candidates it builds and checks, at once;
 #: bounds its float64 working arrays.
 _CHUNK = 2048
+
+#: Search nodes the lag-1 partition search may visit in one class, over all
+#: its block budgets, before nm gives up on the class (CapExceeded).
+_LAG1_BUDGET = 200_000
 
 #: Hard limits of the exhaustive oracle.
 ORACLE_MAX_N = 6
@@ -286,6 +290,89 @@ def _disjoint_union(names: tuple[str, ...], nets: tuple[UnobservedNetwork, ...])
     return UnobservedNetwork(names, offset, frozenset(edges))
 
 
+def _exact_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by Bareiss's fraction-free elimination: after
+    each pivot every entry is a minor of the original, so the division by the
+    previous pivot is exact and no rounding tolerance is needed."""
+    rows, rank, prev = [r[:] for r in rows], 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            rows[i] = [(top[c] * x - rows[i][c] * y) // prev for x, y in zip(rows[i], top)]
+        prev, rank = top[c], rank + 1
+    return rank
+
+
+def _lag1_partitions(g0: UnobservedNetwork) -> list[UnobservedNetwork]:
+    """The minimal networks of a class whose measurements stop at S_1: one
+    per minimum partition of its S_1 entries into bicliques P x C, sorted by
+    canonical key (see nm).  ``g0`` is the class's init_graph; its latent t
+    is the entry src[t] -> t -> dst[t].
+
+    Depth-first with the block budget k deepened from the rank of S_1
+    (_exact_rank, which needs no tolerance and, unlike an SVD, loads no
+    LAPACK code into the process); each step covers the smallest uncovered
+    entry with every biclique that holds it and lies in what is left, so
+    each partition turns up once, its blocks in the order of their smallest
+    entry, which is the order _merge_blocks keeps.  A branch whose
+    remainder has rank above the blocks left is cut.
+    """
+    n = g0.n
+    _, p, _, q = g0.adjacency_blocks()
+    src, dst = p.argmax(1).tolist(), q.argmax(0).tolist()
+    bit = {(i, j): 1 << t for t, (i, j) in enumerate(zip(src, dst))}
+    rows, cols = sorted(set(src)), sorted(set(dst))
+    full = (1 << len(src)) - 1
+
+    def rank(left):
+        mat = {}
+        for t in range(len(src)):
+            if left >> t & 1:
+                mat.setdefault(src[t], [0] * n)[dst[t]] = 1
+        return _exact_rank(list(mat.values()))
+
+    def subsets(items):
+        return (s for r in range(len(items) + 1) for s in itertools.combinations(items, r))
+
+    def search(left, budget, blocks):
+        nonlocal visited
+        visited += 1
+        if visited > _LAG1_BUDGET:
+            raise CapExceeded(f"lag-1 partition search passed its budget of {_LAG1_BUDGET} nodes: "
+                              f"no partition has fewer than {k} bicliques, and the search for {k} did not end")
+        if not left:
+            found.append(list(blocks))
+            return
+        if not budget or left.bit_count() > budget and rank(left) > budget:
+            return
+        t = (left & -left).bit_length() - 1
+        i, j = src[t], dst[t]
+        for ps in subsets([r for r in rows if r != i and bit.get((r, j), 0) & left]):
+            ps = (i, *ps)
+            common = [c for c in cols if c != j and all(bit.get((r, c), 0) & left for r in ps)]
+            for cs in subsets(common):
+                cs = (j, *cs)
+                blocks.append((ps, cs))
+                search(left & ~sum(bit[r, c] for r in ps for c in cs), budget - 1, blocks)
+                blocks.pop()
+
+    found: list = []
+    visited = 0
+    k = rank(full)  # k rank-one 0/1 blocks sum to rank <= k
+    while not found:
+        search(full, k, [])
+        k += 1
+    nets = [UnobservedNetwork(g0.observed, len(part), frozenset(
+                [(i, n + z) for z, (ps, _) in enumerate(part) for i in ps]
+                + [(n + z, j) for z, (_, cs) in enumerate(part) for j in cs]))
+            for part in found]
+    return sorted(nets, key=canonical_form)
+
+
 def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwork]:
     """Node-merging search for all minimal consistent unobserved networks.
 
@@ -333,11 +420,26 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     _screened_pairs counts exactly the paths parent(x) -> z -> child(y) that
     neither x nor y makes, and _blocks_valid rejects a merge adding one.
 
-    ``cap`` bounds only each class's initial merge graph (CapExceeded), not
-    the levels after it: the 31-latent class of ``simulate --n 10 --m 5
-    --a 0.3 --T 20000 --seed 3`` still runs out of a 2 GB memory limit, in
-    its fourth level (28 latents) after about 7 s on a 2-core box, as the
-    level's candidate arrays grow with its pair count.
+    A class whose targets past S_1 are all zero skips the levels for
+    _lag1_partitions.  Its initial latents are entries i -> z -> j, and a
+    merge graph there has no latent -> latent edge (it would make an S_2
+    entry), so each latent is a biclique P x C and a merge graph is valid
+    exactly when its bicliques partition the class's S_1 entries.  Every
+    partition is reached by valid merges (a block grows a row at a time,
+    then row by row), so the last level holds the minimum partitions.  Two
+    distinct partitions are never isomorphic with the observed nodes fixed,
+    so the dedup keeps every one, with its latents in the order of their
+    smallest initial latent: the partition search returns the same labelled
+    networks in the same order.
+
+    ``cap`` bounds only each class's initial merge graph (CapExceeded).  The
+    lag-1 partition search has its own node budget, _LAG1_BUDGET, past which
+    it raises CapExceeded with the block count reached; on a 2-core box the
+    31-latent class of ``simulate --n 10 --m 5 --p 0.4 --q 0.4 --a 0.3 --T
+    20000 --seed 3`` takes 0.02 s (15 networks of 5 latents), and the 3 x 5
+    and 2 x 7 star censuses under 0.5 ms each.  Classes with a target past S_1 have no bound past
+    the cap: such a class below the cap can still run for minutes, or out
+    of memory, as a level's candidate arrays grow with its pair count.
     """
     classes = connected_classes(meas)
     per_class: list[list[UnobservedNetwork]] = []
@@ -349,6 +451,9 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
         # of _blocks_valid checks anyway, so the targets are not trimmed.
         targets = [s.astype(bool) & inside for s in meas.supports[1:]]
         g0 = init_graph(meas, cls, cap)
+        if not any(t.any() for t in targets[1:]):
+            per_class.append(_lag1_partitions(g0))
+            continue
         label = np.min_scalar_type(g0.latent_count)
         # a level: one row per network, the partition of the initial latents
         # (each labelled by its merged latent) and the uint8 blocks
@@ -396,11 +501,13 @@ def _latent_forest(a_ll: np.ndarray) -> bool:
 
 
 def recover_tree(meas: LinearMeasurements) -> UnobservedNetwork:
-    """Unique tree realization of the measurements, built in one pass.
+    """A tree realization of the measurements, built in one pass.
 
     For a directed tree whose latents all have two parents and two children.
-    A node's *profile* holds (i, d) for each observed i with a latent path of
-    length d into it (a sink's is its ``distance_matrix`` column); profiles a
+    It need not be the only one: when an observed node feeds several latent
+    components, nm can find two minimal networks that pass the tree filter,
+    and this returns one of them.  A node's *profile* holds (i, d) for each
+    observed i with a latent path of length d into it (a sink's is its ``distance_matrix`` column); profiles a
     and b *agree* on {(i, k - 1) : (i, k) in both, k >= 2}.  Argued, not
     proved (the tests compare this route with its former body, the merge
     search's output filtered for trees): observed nodes cut latent paths, so

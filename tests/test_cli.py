@@ -455,14 +455,13 @@ def test_cli_imports_only_stdlib_and_numpy():
 PUBLIC_NAMES = [
     "AmbiguousDistance", "BlockTransitionMatrix", "BoundPriors", "CapExceeded",
     "CyclicLatent", "DEFAULT_CAP", "DrgConfig", "EstimationReport", "InconsistentRecovery",
-    "InsufficientData", "LatentVarError", "LatentVarModel", "LinearMeasurements", "NodeProfile",
+    "InsufficientData", "LatentVarError", "LatentVarModel", "LinearMeasurements",
     "NonStationary", "NotIdentifiable", "ScaleExceeded", "SingularCovariance", "TimeSeriesPanel",
     "UnobservedNetwork", "autocov", "block_toeplitz", "canonical_form", "complete_census",
-    "compute_ml_ratio", "connected_classes", "consistent", "default_names", "distance_matrix",
-    "dtr", "extract_support", "fit_coefficients", "fit_from_autocovariances", "gen_drg",
-    "init_graph", "network_of", "nilpotency_index", "nm", "node_profiles", "oracle_minimal",
-    "population_autocov", "population_covariance", "prop1_bound", "recover_tree",
-    "recoverability_check", "select_lag", "simulate", "true_linear_measurements", "unique_parents",
+    "compute_ml_ratio", "consistent", "default_names", "dtr", "extract_support",
+    "fit_coefficients", "fit_from_autocovariances", "gen_drg", "network_of", "nilpotency_index",
+    "nm", "oracle_minimal", "population_autocov", "population_covariance", "prop1_bound",
+    "recover_tree", "recoverability_check", "select_lag", "simulate", "true_linear_measurements",
 ]
 
 

@@ -15,6 +15,8 @@ from latentvar.recover import (
     DEFAULT_CAP,
     _blocks_valid,
     _disjoint_union,
+    _exact_rank,
+    _lag1_partitions,
     _latent_forest,
     _merge_blocks,
     _screened_pairs,
@@ -62,7 +64,7 @@ def nested_tree_network():
 
 class TestNodeProfiles:
     def test_ambiguous_example(self, ambig_meas):
-        prof = {p.node: p for p in lv.node_profiles(ambig_meas)}
+        prof = {p.node: p for p in node_profiles(ambig_meas)}
         assert prof[0].l_i == 3 and prof[0].r_i == {3}
         assert prof[1].l_i == 3 and prof[1].r_i == {3}
         assert prof[1].m_i == {(2, 2), (3, 3)}
@@ -70,12 +72,12 @@ class TestNodeProfiles:
 
     def test_no_latent_paths(self):
         meas = lv.LinearMeasurements(3, [np.eye(3, dtype=int)])
-        for p in lv.node_profiles(meas):
+        for p in node_profiles(meas):
             assert p.l_i == 0 and not p.r_i and not p.m_i
 
     def test_single_entry(self):
         meas = meas_from_entries(4, [(1, 1, 2)])
-        prof = {p.node: p for p in lv.node_profiles(meas)}
+        prof = {p.node: p for p in node_profiles(meas)}
         assert prof[1].l_i == 2
         assert prof[1].r_i == {2}
         assert prof[1].m_i == {(2, 2)}
@@ -83,15 +85,15 @@ class TestNodeProfiles:
 
 class TestUniqueParents:
     def test_dairy(self, dairy_meas):
-        assert lv.unique_parents(lv.node_profiles(dairy_meas)) == [0]
+        assert unique_parents(node_profiles(dairy_meas)) == [0]
 
     def test_nested_tree(self, nested_tree_network):
         meas = lv.complete_census(nested_tree_network)
-        assert lv.unique_parents(lv.node_profiles(meas)) == [0, 1, 2, 3]
+        assert unique_parents(node_profiles(meas)) == [0, 1, 2, 3]
 
     def test_empty(self):
         meas = lv.LinearMeasurements(2, [np.zeros((2, 2), dtype=int)])
-        assert lv.unique_parents(lv.node_profiles(meas)) == []
+        assert unique_parents(node_profiles(meas)) == []
 
 
 class TestDtr:
@@ -274,14 +276,14 @@ class TestDtrMatchesSearch:
 class TestDistanceMatrix:
     def test_single_entry(self):
         meas = meas_from_entries(4, [(1, 1, 2)])
-        assert lv.distance_matrix(meas)[1, 2] == 2
+        assert distance_matrix(meas)[1, 2] == 2
 
     def test_all_zero(self):
         meas = lv.LinearMeasurements(3, [np.zeros((3, 3), dtype=int)])
-        assert not lv.distance_matrix(meas).any()
+        assert not distance_matrix(meas).any()
 
     def test_ambiguous_example(self, ambig_meas):
-        d = lv.distance_matrix(ambig_meas)
+        d = distance_matrix(ambig_meas)
         want = np.zeros((4, 4), dtype=int)
         want[1, 2] = 2
         want[0, 3] = 3
@@ -291,7 +293,7 @@ class TestDistanceMatrix:
     def test_ambiguous_pair(self):
         meas = meas_from_entries(3, [(1, 0, 1), (2, 0, 1)])
         with pytest.raises(lv.AmbiguousDistance):
-            lv.distance_matrix(meas)
+            distance_matrix(meas)
 
 
 def initial_latents(meas):
@@ -348,6 +350,17 @@ class TestRecoverTree:
             g = gen_degree_tree(rng, m_max=12)
             rec = lv.recover_tree(lv.complete_census(g))
             assert lv.canonical_form(rec) == lv.canonical_form(g)
+
+
+def test_recover_tree_returns_one_of_several_tree_shaped_minima():
+    # n = 6: the merge search finds two minimal networks that pass the tree
+    # filter, and recover_tree returns one of them, so it is not unique here
+    edges = {(0, 7), (0, 8), (1, 6), (1, 8), (2, 8), (4, 6), (4, 7), (6, 0), (6, 2), (6, 3), (7, 3), (7, 5), (8, 3), (8, 5)}
+    meas = lv.complete_census(lv.UnobservedNetwork(tuple("abcdef"), 3, frozenset(edges)))
+    rec = lv.recover_tree(meas)
+    assert lv.consistent(rec, meas)
+    keys = [lv.canonical_form(g) for g in lv.nm(meas)]
+    assert len(keys) == 2 and lv.canonical_form(rec) in keys
 
 
 def reference_recover_tree(meas, cap=DEFAULT_CAP):
@@ -442,19 +455,19 @@ class TestBlocksValidMatchesReference:
 
 class TestConnectedClasses:
     def test_ambiguous_example_single_class(self, ambig_meas):
-        assert lv.connected_classes(ambig_meas) == [frozenset({0, 1, 2, 3})]
+        assert connected_classes(ambig_meas) == [frozenset({0, 1, 2, 3})]
 
     def test_two_pairs(self):
         meas = meas_from_entries(4, [(1, 0, 1), (1, 2, 3)])
-        assert lv.connected_classes(meas) == [frozenset({0, 1}), frozenset({2, 3})]
+        assert connected_classes(meas) == [frozenset({0, 1}), frozenset({2, 3})]
 
     def test_no_latent_entries(self):
         meas = lv.LinearMeasurements(3, [np.eye(3, dtype=int)])
-        assert lv.connected_classes(meas) == []
+        assert connected_classes(meas) == []
 
     def test_self_path_counts_as_incident(self):
         meas = meas_from_entries(3, [(1, 1, 1)])
-        assert lv.connected_classes(meas) == [frozenset({1})]
+        assert connected_classes(meas) == [frozenset({1})]
 
 
 def reference_connected_classes(meas):
@@ -557,21 +570,21 @@ class TestComponentsAgainstReferences:
 class TestInitGraph:
     def test_single_entry(self):
         meas = meas_from_entries(4, [(1, 1, 2)])
-        g = lv.init_graph(meas, frozenset({1, 2}))
+        g = init_graph(meas, frozenset({1, 2}))
         assert g.latent_count == 1
         assert g.edges == frozenset({(1, 4), (4, 2)})
 
     def test_ambiguous_example_count(self, ambig_meas):
-        g = lv.init_graph(ambig_meas, frozenset({0, 1, 2, 3}))
+        g = init_graph(ambig_meas, frozenset({0, 1, 2, 3}))
         assert g.latent_count == 5
 
     def test_empty_class(self, ambig_meas):
-        g = lv.init_graph(ambig_meas, frozenset())
+        g = init_graph(ambig_meas, frozenset())
         assert g.latent_count == 0 and not g.edges
 
     def test_cap(self, ambig_meas):
         with pytest.raises(lv.CapExceeded):
-            lv.init_graph(ambig_meas, frozenset({0, 1, 2, 3}), cap=4)
+            init_graph(ambig_meas, frozenset({0, 1, 2, 3}), cap=4)
 
 
 def int_blocks(g):
@@ -619,11 +632,11 @@ class TestMerge:
 class TestCheck:
     def test_shortening_required_path_fails(self):
         meas = meas_from_entries(2, [(2, 0, 1)])
-        g = lv.init_graph(meas, frozenset({0, 1}))
+        g = init_graph(meas, frozenset({0, 1}))
         assert not valid_one(merge_one(int_blocks(g), 0, 1), census_targets(meas))
 
     def test_ambiguous_example_level_one_merge(self, ambig_meas):
-        g = lv.init_graph(ambig_meas, frozenset({0, 1, 2, 3}))
+        g = init_graph(ambig_meas, frozenset({0, 1, 2, 3}))
         targets = census_targets(ambig_meas)
         # interior nodes of the two length-3 chains 1 -> h -> t -> 4 and
         # 2 -> h -> t -> 4: the latents next to an observed node and a latent
@@ -694,6 +707,62 @@ class TestNm:
         for g in nets:
             assert lv.consistent(g, meas)
             assert g.latent_subgraph_is_dag()
+
+
+def pipeline_seed3_measurements():
+    """S_1 of ``latentvar pipeline panel.csv --mode nm`` on the panel of
+    ``latentvar simulate --n 10 --m 5 --p 0.4 --q 0.4 --a 0.3 --T 20000
+    --seed 3``: one class of 31 initial merge latents, nothing past S_1.
+    Row j, column i is the entry i -> z -> j; S_0 is left empty."""
+    rows = ["0000010110", "0000010110", "0001101001", "0001010110", "1001111000",
+            "0001101111", "0000000000", "0000010110", "0000010000", "0000000110"]
+    s1 = np.array([[int(c) for c in row] for row in rows])
+    return lv.LinearMeasurements(10, [np.zeros((10, 10), dtype=int), s1])
+
+
+class TestNmLag1:
+    # classes whose measurements stop at S_1 are solved as minimum partitions
+    # of their S_1 entries into bicliques, not by merging level by level
+    @pytest.mark.parametrize("parents, children", [(3, 5), (2, 7)])
+    def test_star_census_is_its_star(self, parents, children):
+        # 15 and 14 initial latents: 5.8 s and 10.9 s by merging
+        star = star_network(parents, children)
+        assert lv.nm(lv.complete_census(star)) == [star]
+
+    def test_31_latent_class_in_a_few_thousand_nodes(self, monkeypatch):
+        # merging ran out of a 2 GB memory limit on this class
+        meas = pipeline_seed3_measurements()
+        assert initial_latents(meas) == 31
+        monkeypatch.setattr("latentvar.recover._LAG1_BUDGET", 5000)
+        nets = lv.nm(meas)
+        assert len(nets) == 15 and {g.latent_count for g in nets} == {5}
+        assert all(lv.consistent(g, meas) for g in nets)
+
+    def test_budget_names_itself_and_the_blocks_reached(self, monkeypatch):
+        # the 8-cycle as a 4 x 4 S_1 has rank 3 but needs 4 bicliques
+        meas = meas_from_entries(4, [(1, i, j) for i, j in [(0, 2), (0, 3), (1, 1), (1, 2), (2, 0), (2, 3), (3, 0), (3, 1)]])
+        assert np.linalg.matrix_rank(meas.supports[1]) == 3
+        assert [g.latent_count for g in lv.nm(meas)] == [4, 4]
+        monkeypatch.setattr("latentvar.recover._LAG1_BUDGET", 10)
+        with pytest.raises(lv.CapExceeded, match="budget of 10 .*fewer than 4 bicliques"):
+            lv.nm(meas)
+
+    def test_exact_rank_matches_the_svd_rank(self):
+        rng = np.random.default_rng(38)
+        for _ in range(2000):
+            rows, cols = rng.integers(1, 12, size=2)
+            mat = (rng.random((rows, cols)) < rng.random()).astype(int)
+            if rng.random() < 0.5:  # low rank: a boolean product of thin factors
+                k = rng.integers(1, 4)
+                mat = ((rng.random((rows, k)) < 0.5).astype(int) @ (rng.random((k, cols)) < 0.5) > 0).astype(int)
+            assert _exact_rank(mat.tolist()) == np.linalg.matrix_rank(mat)
+        assert _exact_rank([]) == 0
+
+    def test_cap_still_bounds_the_initial_graph(self):
+        star = lv.complete_census(star_network(7, 7))
+        with pytest.raises(lv.CapExceeded, match="initial graph needs 49 latent nodes, cap is 40"):
+            lv.nm(star)
+        assert lv.nm(star, cap=49) == [star_network(7, 7)]
 
 
 def reference_nm(meas, cap=DEFAULT_CAP):
@@ -785,15 +854,53 @@ def nm_comparison_inputs(draws, stream, unions):
         yield side_by_side(a, b)
 
 
+def assert_nm_matches_reference(meas):
+    got, want = lv.nm(meas), reference_nm(meas)
+    assert [lv.canonical_form(g) for g in got] == [lv.canonical_form(g) for g in want]
+    assert got == want
+
+
+def count_lag1_classes(monkeypatch):
+    """Count the classes nm sends to the lag-1 partition search."""
+    calls = []
+    monkeypatch.setattr("latentvar.recover._lag1_partitions", lambda g0: calls.append(g0) or _lag1_partitions(g0))
+    return calls
+
+
 class TestNmMatchesReference:
-    def test_same_networks_in_the_same_order(self):
+    def test_same_networks_in_the_same_order(self, monkeypatch):
+        lag1 = count_lag1_classes(monkeypatch)
         compared = 0
         for meas in nm_comparison_inputs(draws=50, stream=4, unions=5):
-            got, want = lv.nm(meas), reference_nm(meas)
-            assert [lv.canonical_form(g) for g in got] == [lv.canonical_form(g) for g in want]
-            assert got == want
+            assert_nm_matches_reference(meas)
             compared += 1
         assert compared > 50
+        assert len(lag1) == 57  # lag-1 classes of 1-9 entries, partitioned without merging
+
+    def test_lag1_draws(self, monkeypatch):
+        # at most 7 initial latents: reference_nm took 118 s on the 473
+        # lag-1 draws of nm_comparison_inputs' generator at 12, and 3.4 s on
+        # the 11 draws of 8 among 400 here; the test above reaches 9
+        lag1 = count_lag1_classes(monkeypatch)
+        rng = np.random.default_rng(36)
+        compared = 0
+        while compared < 400:
+            got = gen_single_path_instance(rng, n_max=6, init_cap=7)
+            if got and got[1].max_k == 1:
+                assert_nm_matches_reference(got[1])
+                compared += 1
+        assert len(lag1) >= compared  # one call per class
+
+    def test_lag1_class_beside_a_deeper_class(self, monkeypatch):
+        lag1 = count_lag1_classes(monkeypatch)
+        rng = np.random.default_rng(37)
+        draws = [got for got in (gen_single_path_instance(rng, n_max=4, init_cap=8) for _ in range(80)) if got]
+        shallow = [net for net, meas in draws if meas.max_k == 1]
+        deep = [net for net, meas in draws if meas.max_k > 1]
+        for a, b in zip(shallow[:8], deep[:8]):
+            assert_nm_matches_reference(side_by_side(a, b))
+            assert_nm_matches_reference(side_by_side(b, a))
+        assert len(lag1) == 16
 
 
 class TestNmKeysOnlyItsOutput:
@@ -995,7 +1102,7 @@ class TestMergeSearchRejectsCycles:
         # the walk alive and _blocks_valid rejects the merge
         meas = meas_from_entries(4, entries)
         targets = census_targets(meas)
-        frontier = [int_blocks(lv.init_graph(meas, frozenset(range(4))))]
+        frontier = [int_blocks(init_graph(meas, frozenset(range(4))))]
         cyclic = 0
         for _level in range(2):
             nxt = []
@@ -1019,7 +1126,7 @@ class TestStackedCensusCheck:
         for entries in ([(2, 0, 1), (2, 1, 0)], [(2, 0, 1), (3, 1, 2), (1, 2, 0)], [(1, 1, 2), (2, 0, 3), (2, 1, 3)]):
             meas = meas_from_entries(4, entries)
             targets = census_targets(meas)
-            stack = [a[None] for a in int_blocks(lv.init_graph(meas, frozenset(range(4))))]
+            stack = [a[None] for a in int_blocks(init_graph(meas, frozenset(range(4))))]
             for _level in range(2):
                 xs, ys = np.triu_indices(stack[1].shape[1], 1)
                 size = len(stack[0])
@@ -1036,11 +1143,17 @@ class TestStackedCensusCheck:
         assert {"valid", "cyclic", "census"} in kinds  # one stack holds all three
 
 
+def two_level_census():
+    """Census of a latent with observed parents 1, 2 and child 3 that feeds
+    a latent with children 4, 5: K = 2 and 10 initial merge latents, 717
+    merges checked."""
+    edges = {(0, 5), (1, 5), (5, 2), (5, 6), (6, 3), (6, 4)}
+    return lv.complete_census(UnobservedNetwork(tuple("12345"), 2, frozenset(edges)))
+
+
 class TestNmChunks:
     def test_chunk_boundaries_do_not_change_the_output(self, monkeypatch):
-        # the 2 x 4 star census: one latent, 2 observed parents, 4 children
-        star = UnobservedNetwork(tuple("123456"), 1, frozenset({(0, 6), (1, 6), (6, 2), (6, 3), (6, 4), (6, 5)}))
-        inputs = [*nm_comparison_inputs(draws=50, stream=0, unions=0), lv.complete_census(star)]
+        inputs = [*nm_comparison_inputs(draws=50, stream=0, unions=0), two_level_census()]
         want = [reference_nm(meas) for meas in inputs]
         for chunk in (1, 3):
             monkeypatch.setattr("latentvar.recover._CHUNK", chunk)
@@ -1050,15 +1163,17 @@ class TestNmChunks:
 
 
 def per_pair_candidates(meas):
-    """The merges nm's per-pair level loop checked, in order: per class and
-    level, each frontier network's screened pairs in combinations order,
-    skipping a partition already merged at that level.  Kept as the
-    reference for the order of the stacked levels."""
+    """The merges nm's per-pair level loop checked, in order: per class with
+    a target past S_1 and per level, each frontier network's screened pairs
+    in combinations order, skipping a partition already merged at that
+    level.  Kept as the reference for the order of the stacked levels."""
     checked = []
     for cls in connected_classes(meas):
         inside = np.zeros(meas.n, dtype=bool)
         inside[list(cls)] = True
         targets = [s.astype(bool) & np.outer(inside, inside) for s in meas.supports[1:]]
+        if not any(t.any() for t in targets[1:]):
+            continue  # a lag-1 class: nm partitions its entries without merging
         blocks0 = int_blocks(init_graph(meas, cls))
         frontier = {tuple(range(blocks0[1].shape[0])): blocks0}
         while frontier:
@@ -1080,7 +1195,6 @@ class TestNmLevelOrder:
     def test_candidates_checked_in_the_per_pair_order(self, chunk, monkeypatch):
         # the stacked dedup keeps the first candidate of each partition and
         # checks the kept ones in candidate order, as the per-pair loop did
-        star = UnobservedNetwork(tuple("123456"), 1, frozenset({(0, 6), (1, 6), (6, 2), (6, 3), (6, 4), (6, 5)}))
         checked = []
 
         def spy(p, b, q, supports):
@@ -1091,7 +1205,7 @@ class TestNmLevelOrder:
         monkeypatch.setattr("latentvar.recover._blocks_valid", spy)
         key = lambda blocks: [(a.shape, a.astype(np.uint8).tobytes()) for a in blocks]  # noqa: E731
         compared = 0
-        for meas in [*nm_comparison_inputs(draws=20, stream=2, unions=2), lv.complete_census(star)]:
+        for meas in [*nm_comparison_inputs(draws=20, stream=2, unions=2), two_level_census()]:
             checked.clear()
             lv.nm(meas)
             want = per_pair_candidates(meas)
@@ -1102,7 +1216,7 @@ class TestNmLevelOrder:
 
 class TestMergeSearchLevels:
     def test_merge_decreases_count_by_one(self, ambig_meas):
-        g = lv.init_graph(ambig_meas, frozenset({0, 1, 2, 3}))
+        g = init_graph(ambig_meas, frozenset({0, 1, 2, 3}))
         p, b, q = merge_one(int_blocks(g), 0, 1)
         assert b.shape == (g.latent_count - 1, g.latent_count - 1)
         assert p.shape[0] == q.shape[1] == g.latent_count - 1
