@@ -26,7 +26,6 @@ from .estimate import (
     fit_coefficients,
     fit_from_autocovariances,
     prop1_bound,
-    recoverability_check,
     select_lag,
 )
 from .model import (

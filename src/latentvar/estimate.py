@@ -30,7 +30,7 @@ class BoundPriors:
     ``rho12`` bounds the spectral norm of the latent-to-observed block,
     ``rho22`` (< 1) that of the latent block, ``sigma_z2_max`` the latent
     noise variance, and ``a_min`` the smallest nonzero path-coefficient
-    magnitude per lag index (a single value broadcasts to all lags).
+    magnitude per lag index, stored as a tuple; no fit or gate reads it.
     """
 
     rho12: float
@@ -47,9 +47,6 @@ class BoundPriors:
         if not a_min or not all(v >= 0 for v in a_min):  # NaN fails v >= 0
             raise ValueError(f"a_min must hold one or more values >= 0, got {a_min}")
         object.__setattr__(self, "a_min", a_min)
-
-    def a_min_at(self, k: int) -> float:
-        return self.a_min[min(k, len(self.a_min) - 1)]
 
 
 @dataclass
@@ -203,7 +200,7 @@ def fit_coefficients(panel: TimeSeriesPanel, l: int) -> EstimationReport:
     )
 
 
-def _whittle(gammas: Sequence[np.ndarray], l_top: int, x: np.ndarray | None = None):
+def _whittle(gammas: Sequence[np.ndarray], l_top: int, x: np.ndarray):
     """Yield ([B_0 .. B_l] side by side, Sigma) for l = 0..l_top, what
     _lagged_fit(gammas, l, x) gives without its Gamma(l), by Whittle's
     recursion over gamma(0..l_top+1) (P. Whittle, Biometrika 50, 1963);
@@ -216,9 +213,9 @@ def _whittle(gammas: Sequence[np.ndarray], l_top: int, x: np.ndarray | None = No
     delta^T V^-1 as its first, and each loses that gain times the other's
     blocks in reverse.  Each order costs two n x n solves.  The lag-l fit is
     order p = l + 1, with B = A and V the Toeplitz residual covariance
-    w G w^T, w = [I, -B]; Sigma is V, or given the centred data x, the
-    corrected (T V - (E w^T)^T (E w^T)) / (T - l - 1) of _lagged_fit, E its
-    boundary rows (_edge_rows).
+    w G w^T, w = [I, -B]; Sigma is _lagged_fit's correction of V by the
+    centred data x, (T V - (E w^T)^T (E w^T)) / (T - l - 1), E its boundary
+    rows (_edge_rows).
     """
     n = gammas[0].shape[0]
     down = np.vstack(gammas[l_top:0:-1])  # [gamma(l_top); ..; gamma(1)]
@@ -230,11 +227,8 @@ def _whittle(gammas: Sequence[np.ndarray], l_top: int, x: np.ndarray | None = No
         k_b = np.linalg.solve(v, delta).T  # delta^T V^-1
         fwd, bwd = np.hstack([fwd - k_f @ bwd, k_f]), np.hstack([k_b, bwd - k_b @ fwd])
         v, u = v - k_f @ delta.T, u - k_b @ delta
-        if x is None:
-            yield fwd, v
-        else:
-            ew = _edge_rows(x, k) @ np.hstack([np.eye(n), -fwd]).T
-            yield fwd, (x.shape[0] * v - ew.T @ ew) / (x.shape[0] - k)
+        ew = _edge_rows(x, k) @ np.hstack([np.eye(n), -fwd]).T
+        yield fwd, (x.shape[0] * v - ew.T @ ew) / (x.shape[0] - k)
 
 
 def select_lag(panel: TimeSeriesPanel, l_max: int, criterion: str = "aic") -> int:
@@ -311,25 +305,6 @@ def prop1_bound(n: int, l: int, m_over_l: float, rho12: float, rho22: float) -> 
     if not 0.0 <= rho22 < 1.0:
         raise ValueError("rho22 must lie in [0, 1)")
     return math.sqrt(n * max(l - 1, 0) * m_over_l) * rho12 * rho22
-
-
-def recoverability_check(priors: BoundPriors, n: int, l: int, k: int, l_hat: float) -> bool:
-    """Whether the support of the lag-k block is recoverable under the priors.
-
-    True iff 2 * prop1_bound(n, l, sigma_z2_max / l_hat, rho12, rho22)
-    <= a_min,k (k picks a_min,k only): a gap of at most the bound then cannot
-    hide a nonzero entry or fake a zero one.  Squared, this reads
-    4 n (l-1) rho12^2 rho22^2 / a_min,k^2 <= l_hat / sigma_z2_max.  Where the
-    bound vanishes (l <= 1 or rho12 = 0) every lag passes; otherwise a
-    nonpositive l_hat leaves the bound unbounded and the check fails.
-    """
-    a_min = priors.a_min_at(k)
-    if a_min == math.inf or l <= 1 or priors.rho12 == 0:
-        return True
-    if l_hat <= 0:
-        return False
-    bound = prop1_bound(n, l, priors.sigma_z2_max / l_hat, priors.rho12, priors.rho22)
-    return 2.0 * bound <= a_min
 
 
 def extract_support(

@@ -41,8 +41,8 @@ from .model import (
 #: Initial-graph latent budget per connected class before NM gives up.
 DEFAULT_CAP = 40
 
-#: Networks nm screens, and merge candidates it builds and checks, at once;
-#: bounds its float64 working arrays.
+#: Partition rows nm turns into block stacks at once, to screen or to check
+#: them; bounds its block stacks and float64 working arrays.
 _CHUNK = 2048
 
 #: Search nodes the lag-1 partition search may visit in one class, over all
@@ -221,25 +221,20 @@ def init_graph(meas: LinearMeasurements, cls: frozenset[int], cap: int = DEFAULT
     return UnobservedNetwork(meas.names, m, frozenset(edges))
 
 
-def _merge_blocks(p, b, q, f, x, y):
-    """Fold latent y[c] into latent x[c] of stacked network f[c], for every
-    candidate c, in the (obs->latent, latent->latent, latent->obs) block
-    stacks: drop the pair's mutual edges, hand y's parents and children to x,
-    and delete y's row and column.  One gather per block, then the folds."""
-    m = b.shape[1]
-    c = np.arange(len(f))
-    keep = np.arange(m - 1) + (np.arange(m - 1) >= y[:, None])  # old index of each kept latent
-    x = x - (x > y)  # x's index once y is gone
-    fk, yk = f[:, None], y[:, None]
-    p2 = p[fk, keep]
-    b2 = b[fk[:, :, None], keep[:, :, None], keep[:, None, :]]
-    q2 = q[fk[:, :, None], np.arange(q.shape[1])[:, None], keep[:, None, :]]
-    p2[c, x] |= p[f, y]
-    b2[c, x] |= b[fk, yk, keep]
-    b2[c, :, x] |= b[fk, keep, yk]
-    b2[c, x, x] = 0  # edges between the merged pair vanish
-    q2[c, :, x] |= q[f, :, y]
-    return p2, b2, q2
+def _quotients(parts, edges, n):
+    """The uint8 (obs->latent, latent->latent, latent->obs) block stacks of
+    a class's init_graph, as the sorted (E, 2) array ``edges``, quotiented by
+    each row of ``parts`` (F, m0), all of one latent count: initial latent t
+    becomes latent parts[r, t], and edges inside a latent vanish."""
+    f, m = len(parts), int(parts.max()) + 1
+    u, v = edges.T
+    r, ol, ll, lo = np.arange(f)[:, None], u < n, (u >= n) & (v >= n), v < n
+    p, b, q = np.zeros((f, m, n), np.uint8), np.zeros((f, m, m), np.uint8), np.zeros((f, n, m), np.uint8)
+    p[r, parts[:, v[ol] - n], u[ol]] = 1
+    b[r, parts[:, v[ll] - n], parts[:, u[ll] - n]] = 1
+    q[r, v[lo], parts[:, u[lo] - n]] = 1
+    b[:, np.arange(m), np.arange(m)] = 0
+    return p, b, q
 
 
 def _blocks_valid(p, b, q, supports) -> np.ndarray:
@@ -307,18 +302,18 @@ def _exact_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _lag1_partitions(g0: UnobservedNetwork) -> list[UnobservedNetwork]:
-    """The minimal networks of a class whose measurements stop at S_1: one
-    per minimum partition of its S_1 entries into bicliques P x C, sorted by
-    canonical key (see nm).  ``g0`` is the class's init_graph; its latent t
+def _lag1_partitions(g0: UnobservedNetwork) -> np.ndarray:
+    """The minimal merge graphs of a class whose measurements stop at S_1,
+    one row per minimum partition of its S_1 entries into bicliques P x C
+    (see nm): entry t gets the index of its block, the blocks in the order
+    of their smallest entry.  ``g0`` is the class's init_graph; its latent t
     is the entry src[t] -> t -> dst[t].
 
     Depth-first with the block budget k deepened from the rank of S_1
     (_exact_rank, which needs no tolerance and, unlike an SVD, loads no
     LAPACK code into the process); each step covers the smallest uncovered
     entry with every biclique that holds it and lies in what is left, so
-    each partition turns up once, its blocks in the order of their smallest
-    entry, which is the order _merge_blocks keeps.  A branch whose
+    each partition turns up once, its blocks in that order.  A branch whose
     remainder has rank above the blocks left is cut.
     """
     n = g0.n
@@ -366,45 +361,45 @@ def _lag1_partitions(g0: UnobservedNetwork) -> list[UnobservedNetwork]:
     while not found:
         search(full, k, [])
         k += 1
-    nets = [UnobservedNetwork(g0.observed, len(part), frozenset(
-                [(i, n + z) for z, (ps, _) in enumerate(part) for i in ps]
-                + [(n + z, j) for z, (_, cs) in enumerate(part) for j in cs]))
-            for part in found]
-    return sorted(nets, key=canonical_form)
+    return np.array([[next(z for z, (ps, cs) in enumerate(part) if i in ps and j in cs) for i, j in zip(src, dst)]
+                     for part in found])
 
 
 def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwork]:
     """Node-merging search for all minimal consistent unobserved networks.
 
     Per connected class: start from the private-path graph and, level by
-    level, collect every valid merge of the previous level, keyed by the
-    partition of the class's initial latents (it alone fixes a merge's
-    labelled result, as _merge_blocks keeps latents ordered by their smallest
-    member, so each partition is merged once per level).  The last non-empty
-    level holds the class's minimal networks; only they are built, and
-    deduplicated by canonical key keeping the first of each isomorphism
-    class.  By induction over levels a per-level dedup returns the same:
-    isomorphic partitions have isomorphic screened, valid successors, and a
-    partition it drops comes after the kept member of its class, so every
-    class it reaches that member reached first.  So at every level the first
-    partition of each class is the one it keeps, in the same class order;
-    isomorphic partitions meeting in one level change only the work.  The
-    search stays inside the single-path-per-length universe the merge
-    operation lives in: a merge result with duplicated same-length paths is
-    dropped (splitting such a node back would not reproduce the private-path
-    graph, so no minimal in-universe network is lost).  Classes combine by
-    disjoint union; output is sorted by canonical key.
+    level, collect every valid merge of the previous level.  A merge graph
+    is held as its partition of the class's initial latents: any order of
+    merges reaching it gives init_graph's quotient by it (each initial
+    latent replaced by its class, latents ordered by their smallest member,
+    edges inside a class dropped), so each partition is merged once per
+    level.  The last non-empty level holds the class's minimal networks;
+    only they are built, and deduplicated by canonical key keeping the first
+    of each isomorphism class.  By induction over levels a per-level dedup
+    returns the same: isomorphic partitions have isomorphic screened, valid
+    successors, and a partition it drops comes after the kept member of its
+    class, so every class it reaches that member reached first.  So at every
+    level the first partition of each class is the one it keeps, in the same
+    class order; isomorphic partitions meeting in one level change only the
+    work.  The search stays inside the single-path-per-length universe the
+    merge operation lives in: a merge result with duplicated same-length
+    paths is dropped (splitting such a node back would not reproduce the
+    private-path graph, so no minimal in-universe network is lost).  Classes
+    combine by disjoint union, sorted by canonical key: no class's list holds
+    two isomorphic networks, and an isomorphism keeps each latent in its
+    class, so no two unions are isomorphic, and each union is keyed once.
 
-    A level is one stack, as all its networks have the same latent count:
-    a row of partition labels per network (the merged latent each initial
-    latent lies in, in the narrowest unsigned dtype) and uint8 block stacks.
-    Each level screens every network's pairs, _CHUNK networks at a time,
-    giving candidates in frontier then combinations order; computes their
-    merged partitions and keeps the first candidate of each, found by a
-    stable lexsort of the rows, which is the candidate a per-pair memo of
-    seen partitions keeps, in the same order (validity depends on the
+    A level is one stack of partition rows, as its networks share one
+    latent count: the merged latent each initial latent lies in, in the
+    narrowest unsigned dtype.  Each level screens the quotients of its rows
+    (_quotients), giving candidates in frontier then combinations order;
+    computes their merged partitions and keeps the first candidate of each,
+    found by a stable lexsort of the rows, which is the candidate a per-pair
+    memo of seen partitions keeps, in the same order (validity depends on the
     partition alone, so dedup before the check keeps the same set); then
-    merges and checks the kept candidates _CHUNK at a time.  So the float64
+    checks the kept rows' quotients, and the valid rows are the next level.
+    Quotients are built _CHUNK rows at a time, so they and the float64
     arrays of the screen and of _blocks_valid's walk hold at most _CHUNK
     networks.
 
@@ -428,22 +423,21 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     partition is reached by valid merges (a block grows a row at a time,
     then row by row), so the last level holds the minimum partitions.  Two
     distinct partitions are never isomorphic with the observed nodes fixed,
-    so the dedup keeps every one, with its latents in the order of their
-    smallest initial latent: the partition search returns the same labelled
-    networks in the same order.
+    so the dedup would keep them all: the partition search's rows, blocks
+    ordered by their smallest entry, give the same networks unkeyed.
 
     ``cap`` bounds only each class's initial merge graph (CapExceeded).  The
     lag-1 partition search has its own node budget, _LAG1_BUDGET, past which
     it raises CapExceeded with the block count reached; on a 2-core box the
     31-latent class of ``simulate --n 10 --m 5 --p 0.4 --q 0.4 --a 0.3 --T
     20000 --seed 3`` takes 0.02 s (15 networks of 5 latents), and the 3 x 5
-    and 2 x 7 star censuses under 0.5 ms each.  Classes with a target past S_1 have no bound past
-    the cap: such a class below the cap can still run for minutes, or out
-    of memory, as a level's candidate arrays grow with its pair count.
+    and 2 x 7 star censuses under 0.5 ms each.  Classes with a target past
+    S_1 have no bound past the cap: such a class below the cap can still run
+    for minutes, or out of memory, as a level's candidate arrays grow with
+    its pair count.
     """
-    classes = connected_classes(meas)
     per_class: list[list[UnobservedNetwork]] = []
-    for cls in classes:
+    for cls in connected_classes(meas):
         member = np.zeros(meas.n, dtype=bool)
         member[list(cls)] = True
         inside = np.outer(member, member)
@@ -451,16 +445,15 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
         # of _blocks_valid checks anyway, so the targets are not trimmed.
         targets = [s.astype(bool) & inside for s in meas.supports[1:]]
         g0 = init_graph(meas, cls, cap)
+        edges = np.array(sorted(g0.edges))
         if not any(t.any() for t in targets[1:]):
-            per_class.append(_lag1_partitions(g0))
+            blocks = _quotients(_lag1_partitions(g0), edges, meas.n)
+            per_class.append([UnobservedNetwork.from_blocks(meas.names, *net) for net in zip(*blocks)])
             continue
         label = np.min_scalar_type(g0.latent_count)
-        # a level: one row per network, the partition of the initial latents
-        # (each labelled by its merged latent) and the uint8 blocks
-        parts = np.arange(g0.latent_count, dtype=label)[None]
-        blocks = [a.astype(np.uint8)[None] for a in g0.adjacency_blocks()[1:]]
+        parts = np.arange(g0.latent_count, dtype=label)[None]  # a level: one partition row per network
         while True:
-            screened = np.concatenate([_screened_pairs(blocks[0][s : s + _CHUNK], blocks[2][s : s + _CHUNK])
+            screened = np.concatenate([_screened_pairs(*_quotients(parts[s : s + _CHUNK], edges, meas.n)[::2])
                                        for s in range(0, len(parts), _CHUNK)])
             f, x, y = np.nonzero(np.triu(screened, 1))  # frontier, then combinations order
             if not len(f):
@@ -471,26 +464,15 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
             # first candidate of each merged partition, in candidate order
             order = np.lexsort(merged.T[::-1])
             ranked = merged[order]
-            first = np.sort(order[np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]])
-            level = []
-            for s in range(0, len(first), _CHUNK):
-                cand = first[s : s + _CHUNK]
-                nxt = _merge_blocks(*blocks, f[cand], x[cand], y[cand])
-                ok = _blocks_valid(*nxt, targets)
-                level.append((merged[cand[ok]], *(a[ok] for a in nxt)))
-            if not any(len(got[0]) for got in level):
+            first = merged[np.sort(order[np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]])]
+            valid = np.concatenate([_blocks_valid(*_quotients(first[s : s + _CHUNK], edges, meas.n), targets)
+                                    for s in range(0, len(first), _CHUNK)])
+            if not valid.any():
                 break
-            parts, *blocks = (np.concatenate(a) for a in zip(*level))
-        nets = [UnobservedNetwork.from_blocks(meas.names, *net) for net in zip(*blocks)]
-        firsts = {canonical_form(g): g for g in reversed(nets)}
-        per_class.append([firsts[key] for key in sorted(firsts)])
-    if not per_class:
-        return [UnobservedNetwork(meas.names, 0, frozenset())]
-    combos = {}
-    for choice in itertools.product(*per_class):
-        g = _disjoint_union(meas.names, choice)
-        combos[canonical_form(g)] = g
-    return [g for _, g in sorted(combos.items())]
+            parts = first[valid]
+        nets = [UnobservedNetwork.from_blocks(meas.names, *net) for net in zip(*_quotients(parts, edges, meas.n))]
+        per_class.append(list({canonical_form(g): g for g in reversed(nets)}.values()))
+    return sorted((_disjoint_union(meas.names, choice) for choice in itertools.product(*per_class)), key=canonical_form)
 
 
 def _latent_forest(a_ll: np.ndarray) -> bool:

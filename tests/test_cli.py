@@ -461,7 +461,7 @@ PUBLIC_NAMES = [
     "compute_ml_ratio", "consistent", "default_names", "dtr", "extract_support",
     "fit_coefficients", "fit_from_autocovariances", "gen_drg", "network_of", "nilpotency_index",
     "nm", "oracle_minimal", "population_autocov", "population_covariance", "prop1_bound",
-    "recover_tree", "recoverability_check", "select_lag", "simulate", "true_linear_measurements",
+    "recover_tree", "select_lag", "simulate", "true_linear_measurements",
 ]
 
 

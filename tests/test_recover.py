@@ -18,7 +18,7 @@ from latentvar.recover import (
     _exact_rank,
     _lag1_partitions,
     _latent_forest,
-    _merge_blocks,
+    _quotients,
     _screened_pairs,
     canonical_form,
     connected_classes,
@@ -597,10 +597,33 @@ def census_targets(meas):
     return [s.astype(bool) for s in meas.supports[1:]]
 
 
+def merge_blocks(p, b, q, f, x, y):
+    """Fold latent y[c] into latent x[c] of stacked network f[c], for every
+    candidate c, in the (obs->latent, latent->latent, latent->obs) block
+    stacks: drop the pair's mutual edges, hand y's parents and children to x,
+    and delete y's row and column.  nm's former merge step, kept as the
+    reference for _quotients: any order of folds that reaches a partition
+    gives the quotient by it."""
+    m = b.shape[1]
+    c = np.arange(len(f))
+    keep = np.arange(m - 1) + (np.arange(m - 1) >= y[:, None])  # old index of each kept latent
+    x = x - (x > y)  # x's index once y is gone
+    fk, yk = f[:, None], y[:, None]
+    p2 = p[fk, keep]
+    b2 = b[fk[:, :, None], keep[:, :, None], keep[:, None, :]]
+    q2 = q[fk[:, :, None], np.arange(q.shape[1])[:, None], keep[:, None, :]]
+    p2[c, x] |= p[f, y]
+    b2[c, x] |= b[fk, yk, keep]
+    b2[c, :, x] |= b[fk, keep, yk]
+    b2[c, x, x] = 0  # edges between the merged pair vanish
+    q2[c, :, x] |= q[f, :, y]
+    return p2, b2, q2
+
+
 def merge_one(blocks, x, y):
-    """_merge_blocks on a stack of one network and one pair, unstacked."""
+    """merge_blocks on a stack of one network and one pair, unstacked."""
     one = np.zeros(1, dtype=np.intp)
-    return [a[0] for a in _merge_blocks(*(a[None] for a in blocks), one, one + x, one + y)]
+    return [a[0] for a in merge_blocks(*(a[None] for a in blocks), one, one + x, one + y)]
 
 
 def valid_one(blocks, targets):
@@ -758,6 +781,25 @@ class TestNmLag1:
             assert _exact_rank(mat.tolist()) == np.linalg.matrix_rank(mat)
         assert _exact_rank([]) == 0
 
+    def test_dense_classes_past_the_merge_tests_reach(self):
+        # 13-30 initial latents, past the 12 the nm comparison draws reach:
+        # every output is consistent, and its one latent count lies between
+        # the rank of S_1 and the star count, as each source's star (or each
+        # target's) is a valid partition
+        rng = np.random.default_rng(39)
+        drawn = 0
+        while drawn < 12:
+            n = int(rng.integers(4, 9))
+            s1 = (rng.random((n, n)) < rng.uniform(0.3, 0.9)).astype(int)
+            meas = lv.LinearMeasurements(n, [np.zeros((n, n), dtype=int), s1])
+            if not 13 <= s1.sum() <= 30 or len(connected_classes(meas)) != 1:
+                continue
+            nets = lv.nm(meas)
+            assert all(lv.consistent(g, meas) for g in nets)
+            (k,) = {g.latent_count for g in nets}
+            assert _exact_rank(s1.tolist()) <= k <= min(s1.any(0).sum(), s1.any(1).sum())
+            drawn += 1
+
     def test_cap_still_bounds_the_initial_graph(self):
         star = lv.complete_census(star_network(7, 7))
         with pytest.raises(lv.CapExceeded, match="initial graph needs 49 latent nodes, cap is 40"):
@@ -904,17 +946,30 @@ class TestNmMatchesReference:
 
 
 class TestNmKeysOnlyItsOutput:
-    # one class: a key per last-level network, then one per disjoint union
-    @pytest.mark.parametrize("source", ["ambiguous", "catalogue"])
-    def test_two_canonical_forms_per_returned_network(self, source, ambig_meas, monkeypatch):
-        meas = ambig_meas if source == "ambiguous" else next(catalogue_stream(np.random.default_rng(2017)))
+    # one class: a key per disjoint union, and for a class past S_1 one per
+    # last-level network before it
+    @staticmethod
+    def keys_counted(meas, monkeypatch):
         assert len(connected_classes(meas)) == 1
         calls = []
         monkeypatch.setattr("latentvar.recover.canonical_form", lambda g: calls.append(g) or canonical_form(g))
-        nets = lv.nm(meas)
+        return lv.nm(meas), calls
+
+    @pytest.mark.parametrize("source", ["ambiguous", "catalogue"])
+    def test_two_canonical_forms_per_returned_network(self, source, ambig_meas, monkeypatch):
+        deep = (meas for meas in catalogue_stream(np.random.default_rng(2017)) if meas.max_k > 1)
+        nets, calls = self.keys_counted(ambig_meas if source == "ambiguous" else next(deep), monkeypatch)
         assert len(calls) == 2 * len(nets)
         if source == "ambiguous":
             assert len(calls) == 4
+
+    def test_one_canonical_form_per_lag1_network(self, monkeypatch):
+        # distinct partitions of a lag-1 class are never isomorphic, so its
+        # networks are not keyed before the union stage
+        meas = next(catalogue_stream(np.random.default_rng(2017)))
+        assert meas.max_k == 1
+        nets, calls = self.keys_counted(meas, monkeypatch)
+        assert len(nets) == 2 and len(calls) == len(nets)
 
 
 def merged_partition(part, x, y):
@@ -944,7 +999,7 @@ class TestMergeScreen:
                     for p, b, q in frontier:
                         (screened,) = _screened_pairs(p[None], q[None])
                         xs, ys = np.triu_indices(b.shape[0], 1)  # every pair, in combinations order
-                        merged = _merge_blocks(p[None], b[None], q[None], np.zeros_like(xs), xs, ys)
+                        merged = merge_blocks(p[None], b[None], q[None], np.zeros_like(xs), xs, ys)
                         for (x, y), mp, mb, mq, valid in zip(zip(xs.tolist(), ys.tolist()), *merged, _blocks_valid(*merged, targets)):
                             cnt = mq @ mp
                             exact = (cnt <= 1).all() and np.array_equal(cnt > 0, targets[0])
@@ -979,14 +1034,16 @@ class TestMergeScreen:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_a_partition_merged_in_any_order_gives_the_same_blocks(self, seed):
-        # nm merges each partition of the initial latents once per level
+        # nm holds each merge graph as a partition of the initial latents, and
+        # _quotients gives the blocks any order of folds reaching it gives
         rng = np.random.default_rng(8000 + seed)
         for _ in range(20):
             got = gen_single_path_instance(rng, n_max=6, init_cap=12)
             if got is None:
                 continue
             meas = got[1]
-            _, *blocks0 = (a.astype(np.int64) for a in init_graph(meas, frozenset(range(meas.n)), 12).adjacency_blocks())
+            g0 = init_graph(meas, frozenset(range(meas.n)), 12)
+            _, *blocks0 = (a.astype(np.int64) for a in g0.adjacency_blocks())
             m0 = blocks0[1].shape[0]
             label = rng.integers(0, max(1, m0 // 2), size=m0)
             same = [(a, c) for a, c in itertools.combinations(range(m0), 2) if label[a] == label[c]]
@@ -1001,6 +1058,9 @@ class TestMergeScreen:
                         merges += 1
                 results.append((part, [blk.tobytes() for blk in blocks], [blk.shape for blk in blocks]))
             assert results[0] == results[1]
+            quotient = _quotients(np.array([part]), np.array(sorted(g0.edges)), meas.n)
+            assert [blk[0].dtype for blk in quotient] == [np.uint8] * 3
+            assert [(blk[0].shape, blk[0].astype(np.int64).tobytes()) for blk in quotient] == [(blk.shape, blk.tobytes()) for blk in blocks]
             # latents stay ordered by their smallest member
             firsts = sorted({int(np.flatnonzero(label == lab)[0]) for lab in label})
             assert part == tuple(firsts.index(int(np.flatnonzero(label == label[t])[0])) for t in range(m0))
@@ -1130,7 +1190,7 @@ class TestStackedCensusCheck:
             for _level in range(2):
                 xs, ys = np.triu_indices(stack[1].shape[1], 1)
                 size = len(stack[0])
-                stack = _merge_blocks(*stack, np.repeat(np.arange(size), len(xs)), np.tile(xs, size), np.tile(ys, size))
+                stack = merge_blocks(*stack, np.repeat(np.arange(size), len(xs)), np.tile(xs, size), np.tile(ys, size))
                 nets = list(zip(*stack))
                 cyclic = np.array([not UnobservedNetwork.from_blocks(meas.names, *net).latent_subgraph_is_dag() for net in nets])
                 verdicts = _blocks_valid(*stack, targets)
