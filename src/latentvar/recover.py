@@ -41,8 +41,8 @@ from .model import (
 #: Initial-graph latent budget per connected class before NM gives up.
 DEFAULT_CAP = 40
 
-#: Partition rows nm turns into block stacks at once, to screen or to check
-#: them; bounds its block stacks and float64 working arrays.
+#: Partition rows nm turns into block stacks at once, to check them and
+#: screen the valid ones; bounds its float32 block stacks and working arrays.
 _CHUNK = 2048
 
 #: Search nodes the lag-1 partition search may visit in one class, over all
@@ -222,14 +222,14 @@ def init_graph(meas: LinearMeasurements, cls: frozenset[int], cap: int = DEFAULT
 
 
 def _quotients(parts, edges, n):
-    """The uint8 (obs->latent, latent->latent, latent->obs) block stacks of
-    a class's init_graph, as the sorted (E, 2) array ``edges``, quotiented by
-    each row of ``parts`` (F, m0), all of one latent count: initial latent t
-    becomes latent parts[r, t], and edges inside a latent vanish."""
+    """The float32 (obs->latent, latent->latent, latent->obs) block stacks
+    of a class's init_graph, as the sorted (E, 2) array ``edges``,
+    quotiented by each row of ``parts`` (F, m0), all of one latent count:
+    initial latent t becomes latent parts[r, t], edges inside one vanish."""
     f, m = len(parts), int(parts.max()) + 1
     u, v = edges.T
     r, ol, ll, lo = np.arange(f)[:, None], u < n, (u >= n) & (v >= n), v < n
-    p, b, q = np.zeros((f, m, n), np.uint8), np.zeros((f, m, m), np.uint8), np.zeros((f, n, m), np.uint8)
+    p, b, q = np.zeros((f, m, n), np.float32), np.zeros((f, m, m), np.float32), np.zeros((f, n, m), np.float32)
     p[r, parts[:, v[ol] - n], u[ol]] = 1
     b[r, parts[:, v[ll] - n], parts[:, u[ll] - n]] = 1
     q[r, v[lo], parts[:, u[lo] - n]] = 1
@@ -243,18 +243,18 @@ def _blocks_valid(p, b, q, supports) -> np.ndarray:
     and length, and the walk from the observed nodes dies within the latent
     count (so no latent reachable from an observed node lies on a cycle).
     The one census check of nm, recover_tree and the oracle, the latter two
-    on a stack of one.  The walk runs in float64, where matmul is BLAS's,
+    on a stack of one.  The walk runs in float32, where matmul is BLAS's,
     and saturates at 2: min(sum b min(r, 2), 2) = min(sum b r, 2) for
-    non-negative integers, so the count > 1 and count > 0 tests stay exact
-    and a cyclic graph's counts stay small.  Networks that fail a step leave
-    the walk."""
-    p, b, q = (np.asarray(a, dtype=np.float64) for a in (p, b, q))
+    non-negative integers, so every product entry is at most 2m, exact far
+    below 2^24, and a cyclic graph's counts stay small.  Networks that fail
+    a step leave the walk."""
+    p, b, q = (np.asarray(a, np.float32) for a in (p, b, q))
     alive = np.arange(len(b))
     reach = p
     for k in range(len(supports) + b.shape[1]):
         cnt = q @ reach
         target = supports[k] if k < len(supports) else False  # no path past S_K
-        fits = ~((cnt > 1) | ((cnt > 0) != target)).any(axis=(1, 2))
+        fits = (cnt == target).all(axis=(1, 2))
         if not fits.all():
             alive, reach, b, q = alive[fits], reach[fits], b[fits], q[fits]
         reach = np.minimum(b @ reach, 2)
@@ -267,8 +267,10 @@ def _blocks_valid(p, b, q, supports) -> np.ndarray:
 
 def _screened_pairs(p, q) -> np.ndarray:
     """Per stacked network, the symmetric mask of latent pairs whose merge
-    adds no length-2 path (see nm)."""
-    p, q = p.astype(np.float64), q.astype(np.float64)
+    adds no length-2 path (see nm), in float32: on nm's quotients each term
+    is at most m0^2 (an initial latent has at most one observed parent and
+    one observed child), exact far below 2^24."""
+    p, q = np.asarray(p, np.float32), np.asarray(q, np.float32)
     sp, sq = p.sum(2)[:, :, None], q.sum(1)[:, None, :]
     new = sp * sq - sp * (q.transpose(0, 2, 1) @ q) - (p @ p.transpose(0, 2, 1)) * sq
     return (new == 0) & (new.transpose(0, 2, 1) == 0)
@@ -391,17 +393,17 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     class, so no two unions are isomorphic, and each union is keyed once.
 
     A level is one stack of partition rows, as its networks share one
-    latent count: the merged latent each initial latent lies in, in the
-    narrowest unsigned dtype.  Each level screens the quotients of its rows
-    (_quotients), giving candidates in frontier then combinations order;
-    computes their merged partitions and keeps the first candidate of each,
-    found by a stable lexsort of the rows, which is the candidate a per-pair
-    memo of seen partitions keeps, in the same order (validity depends on the
-    partition alone, so dedup before the check keeps the same set); then
-    checks the kept rows' quotients, and the valid rows are the next level.
-    Quotients are built _CHUNK rows at a time, so they and the float64
-    arrays of the screen and of _blocks_valid's walk hold at most _CHUNK
-    networks.
+    latent count (the merged latent each initial latent lies in, in the
+    narrowest unsigned dtype), with the pair screens of their quotients
+    (_quotients), which give candidates in frontier then combinations order.
+    Each level merges them and keeps the first candidate of each merged
+    partition, found by a stable lexsort of the rows: the candidate a
+    per-pair memo of seen partitions keeps, in the same order (validity
+    depends on the partition alone, so dedup before the check keeps the same
+    set).  It checks the kept rows' quotients and screens the valid ones from
+    the same blocks, so each candidate is quotiented once (the seed row and
+    the last level once more).  Quotients are built _CHUNK rows at a time:
+    they and their float32 screen and walk arrays hold at most _CHUNK networks.
 
     No separate acyclicity test is needed.  Every latent of a merge graph
     lies on a path from an observed node: init_graph builds chains that start
@@ -452,10 +454,9 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
             continue
         label = np.min_scalar_type(g0.latent_count)
         parts = np.arange(g0.latent_count, dtype=label)[None]  # a level: one partition row per network
+        screened = _screened_pairs(*_quotients(parts, edges, meas.n)[::2])
         while True:
-            screened = np.concatenate([_screened_pairs(*_quotients(parts[s : s + _CHUNK], edges, meas.n)[::2])
-                                       for s in range(0, len(parts), _CHUNK)])
-            f, x, y = np.nonzero(np.triu(screened, 1))  # frontier, then combinations order
+            f, x, y = np.nonzero(screened & ~np.tri(screened.shape[1], dtype=bool))  # frontier, then combinations order
             if not len(f):
                 break
             xl, yl = x.astype(label)[:, None], y.astype(label)[:, None]
@@ -465,11 +466,15 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
             order = np.lexsort(merged.T[::-1])
             ranked = merged[order]
             first = merged[np.sort(order[np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]])]
-            valid = np.concatenate([_blocks_valid(*_quotients(first[s : s + _CHUNK], edges, meas.n), targets)
-                                    for s in range(0, len(first), _CHUNK)])
+            valid, masks = [], []
+            for s in range(0, len(first), _CHUNK):  # check each chunk, then screen its valid rows' blocks
+                p, b, q = _quotients(first[s : s + _CHUNK], edges, meas.n)
+                valid.append(ok := _blocks_valid(p, b, q, targets))
+                masks.append(_screened_pairs(p[ok], q[ok]))
+            valid = np.concatenate(valid)
             if not valid.any():
                 break
-            parts = first[valid]
+            parts, screened = first[valid], np.concatenate(masks)
         nets = [UnobservedNetwork.from_blocks(meas.names, *net) for net in zip(*_quotients(parts, edges, meas.n))]
         per_class.append(list({canonical_form(g): g for g in reversed(nets)}.values()))
     return sorted((_disjoint_union(meas.names, choice) for choice in itertools.product(*per_class)), key=canonical_form)

@@ -12,6 +12,7 @@ import latentvar as lv
 from latentvar.errors import InconsistentRecovery, NotIdentifiable
 from latentvar.model import LinearMeasurements, UnobservedNetwork, consistent
 from latentvar.recover import (
+    _CHUNK,
     DEFAULT_CAP,
     _blocks_valid,
     _disjoint_union,
@@ -350,6 +351,17 @@ class TestRecoverTree:
             g = gen_degree_tree(rng, m_max=12)
             rec = lv.recover_tree(lv.complete_census(g))
             assert lv.canonical_form(rec) == lv.canonical_form(g)
+
+    def test_random_hidden_trees_up_to_32_latents(self):
+        # the census check's float32 walk on trees past the sizes above
+        rng = np.random.default_rng(2032)
+        sizes = []
+        for _ in range(20):
+            g = gen_degree_tree(rng, m_max=32)
+            rec = lv.recover_tree(lv.complete_census(g))
+            assert lv.canonical_form(rec) == lv.canonical_form(g)
+            sizes.append(g.latent_count)
+        assert max(sizes) > 20
 
 
 def test_recover_tree_returns_one_of_several_tree_shaped_minima():
@@ -1059,7 +1071,7 @@ class TestMergeScreen:
                 results.append((part, [blk.tobytes() for blk in blocks], [blk.shape for blk in blocks]))
             assert results[0] == results[1]
             quotient = _quotients(np.array([part]), np.array(sorted(g0.edges)), meas.n)
-            assert [blk[0].dtype for blk in quotient] == [np.uint8] * 3
+            assert [blk[0].dtype for blk in quotient] == [np.float32] * 3
             assert [(blk[0].shape, blk[0].astype(np.int64).tobytes()) for blk in quotient] == [(blk.shape, blk.tobytes()) for blk in blocks]
             # latents stay ordered by their smallest member
             firsts = sorted({int(np.flatnonzero(label == lab)[0]) for lab in label})
@@ -1202,6 +1214,43 @@ class TestStackedCensusCheck:
                 kinds.append({kind for kind, seen in (("valid", verdicts), ("cyclic", cyclic), ("census", ~verdicts & ~cyclic)) if seen.any()})
         assert {"valid", "cyclic", "census"} in kinds  # one stack holds all three
 
+    def test_the_same_stacks_in_any_dtype_give_the_same_masks_and_verdicts(self):
+        # nm hands over float32 stacks, recover_tree and the oracle int64
+        # ones, and the tests uint8 ones: every pair of a first-level stack;
+        # a 24-latent chain beside the complete latent DAG on its latents,
+        # which has 2^22 latent paths from its first latent to its last, and
+        # both with one observed edge added; and two networks whose screen
+        # or walk sums reach 256, where uint8 arithmetic wraps to 0: two
+        # latents sharing 256 parents and a child, and 256 parallel i -> z -> j
+        wide = np.zeros((1, 2, 257), np.int64), np.zeros((1, 2, 2), np.int64), np.zeros((1, 257, 2), np.int64)
+        wide[0][0, :, :256] = wide[2][0, 256] = 1
+        parallel = np.ones((1, 256, 2), np.int64), np.zeros((1, 256, 256), np.int64), np.ones((1, 2, 256), np.int64)
+        parallel[0][0, :, 1] = parallel[2][0, 0] = 0
+        stacks = [(wide, [np.zeros((257, 257), bool)]), (parallel, [np.zeros((2, 2), bool)])]
+        for entries in ([(2, 0, 1), (2, 1, 0)], [(2, 0, 1), (3, 1, 2), (1, 2, 0)], [(1, 1, 2), (2, 0, 3), (2, 1, 3)]):
+            meas = meas_from_entries(4, entries)
+            stack = [a[None] for a in int_blocks(init_graph(meas, frozenset(range(4))))]
+            xs, ys = np.triu_indices(stack[1].shape[1], 1)
+            stacks.append((merge_blocks(*stack, np.zeros_like(xs), xs, ys), census_targets(meas)))
+        m, names = 24, tuple("abcd")
+        chain = {(0, 4), (1, 4), (4 + m - 1, 2), (4 + m - 1, 3)} | {(4 + z, 5 + z) for z in range(m - 1)}
+        dense = chain | {(4 + u, 4 + v) for u, v in itertools.combinations(range(m), 2)}
+        nets = [UnobservedNetwork(names, m, frozenset(e)) for e in (chain, dense, chain | {(2, 4 + m // 2)}, dense | {(2, 4 + m // 2)})]
+        blocks = [np.stack(a) for a in zip(*(int_blocks(g) for g in nets))]
+        for g in nets[:2]:
+            stacks.append((blocks, census_targets(lv.complete_census(g))))
+        verdicts = []
+        for (p, b, q), targets in stacks:
+            want = _screened_pairs(p, q), _blocks_valid(p, b, q, targets)
+            for dtype in (np.uint8, np.int64, np.float32):
+                p2, b2, q2 = (a.astype(dtype) for a in (p, b, q))
+                assert np.array_equal(_screened_pairs(p2, q2), want[0])
+                assert np.array_equal(_blocks_valid(p2, b2, q2, targets), want[1])
+            verdicts.extend(want[1].tolist())
+        assert _blocks_valid(*blocks, stacks[-2][1]).tolist() == [True, False, False, False]
+        assert not _screened_pairs(wide[0], wide[2]).any() and not _blocks_valid(*parallel, stacks[1][1]).any()
+        assert True in verdicts and False in verdicts
+
 
 def two_level_census():
     """Census of a latent with observed parents 1, 2 and child 3 that feeds
@@ -1272,6 +1321,31 @@ class TestNmLevelOrder:
             assert [key(c) for c in checked] == [key(c) for c in want]
             compared += len(want)
         assert compared > 1000
+
+
+class TestNmQuotientsOnce:
+    def test_each_kept_candidate_is_quotiented_once(self, monkeypatch):
+        # one K > 1 catalogue draw: the seed row is quotiented for its
+        # screen, each kept candidate once for its check and, when valid, its
+        # screen, and the last level once more to build its networks
+        meas = next(meas for meas in catalogue_stream(np.random.default_rng(2017)) if meas.max_k > 1)
+        assert len(connected_classes(meas)) == 1
+        quotiented, verdicts = [], []
+
+        def quotients(parts, edges, n):
+            quotiented.append(len(parts))
+            return _quotients(parts, edges, n)
+
+        def blocks_valid(p, b, q, supports):
+            verdicts.append(valid := _blocks_valid(p, b, q, supports))
+            return valid
+
+        monkeypatch.setattr("latentvar.recover._quotients", quotients)
+        monkeypatch.setattr("latentvar.recover._blocks_valid", blocks_valid)
+        lv.nm(meas)
+        assert all(len(v) < _CHUNK for v in verdicts)  # each level checked in one chunk
+        last = next(v for v in reversed(verdicts) if v.any())
+        assert sum(quotiented) == 1 + sum(map(len, verdicts)) + last.sum()
 
 
 class TestMergeSearchLevels:
