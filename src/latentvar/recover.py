@@ -6,7 +6,9 @@ Three recovery routes plus a small-scale exhaustive oracle:
                       every latent node has a unique observed parent and
                       every latent leaf a unique observed child.
 * ``nm``           -- node-merging search returning every consistent network
-                      with the minimum number of latent nodes.
+                      with the minimum number of latent nodes: the valid
+                      partitions of each class's initial merge graph with
+                      the fewest blocks, searched from below.
 * ``recover_tree`` -- one realization when the unobserved network is a
                       directed tree whose latent nodes all have two parents
                       and two children, built in one pass from the latent
@@ -41,13 +43,13 @@ from .model import (
 #: Initial-graph latent budget per connected class before NM gives up.
 DEFAULT_CAP = 40
 
-#: Partition rows nm turns into block stacks at once, to check them and
-#: screen the valid ones; bounds its float32 block stacks and working arrays.
+#: Partition rows nm checks at once; bounds its float32 block stacks and
+#: walk arrays.
 _CHUNK = 2048
 
-#: Search nodes the lag-1 partition search may visit in one class, over all
-#: its block budgets, before nm gives up on the class (CapExceeded).
-_LAG1_BUDGET = 200_000
+#: Partition rows nm may check in one class, prefixes included, over all its
+#: block counts, before it gives up on the class (CapExceeded).
+_ROW_BUDGET = 2_000_000
 
 #: Hard limits of the exhaustive oracle.
 ORACLE_MAX_N = 6
@@ -237,24 +239,25 @@ def _quotients(parts, edges, n):
     return p, b, q
 
 
-def _blocks_valid(p, b, q, supports) -> np.ndarray:
+def _blocks_valid(p, b, q, supports, _prefix=False) -> np.ndarray:
     """One verdict per network of the stacked blocks: its census equals
     ``supports`` (the S_1.. list) entrywise with at most one path per pair
     and length, and the walk from the observed nodes dies within the latent
     count (so no latent reachable from an observed node lies on a cycle).
     The one census check of nm, recover_tree and the oracle, the latter two
-    on a stack of one.  The walk runs in float32, where matmul is BLAS's,
-    and saturates at 2: min(sum b min(r, 2), 2) = min(sum b r, 2) for
-    non-negative integers, so every product entry is at most 2m, exact far
-    below 2^24, and a cyclic graph's counts stay small.  Networks that fail
-    a step leave the walk."""
+    on a stack of one.  With ``_prefix`` a count may fall short of its
+    target (cnt <= target): nm's check of a partial quotient.  The walk runs
+    in float32, where matmul is BLAS's, and saturates at 2: min(sum b min(r,
+    2), 2) = min(sum b r, 2) for non-negative integers, so every product
+    entry is at most 2m, exact far below 2^24, and a cyclic graph's counts
+    stay small.  Networks that fail a step leave the walk."""
     p, b, q = (np.asarray(a, np.float32) for a in (p, b, q))
     alive = np.arange(len(b))
     reach = p
     for k in range(len(supports) + b.shape[1]):
         cnt = q @ reach
         target = supports[k] if k < len(supports) else False  # no path past S_K
-        fits = (cnt == target).all(axis=(1, 2))
+        fits = ((cnt <= target) if _prefix else (cnt == target)).all(axis=(1, 2))
         if not fits.all():
             alive, reach, b, q = alive[fits], reach[fits], b[fits], q[fits]
         reach = np.minimum(b @ reach, 2)
@@ -263,17 +266,6 @@ def _blocks_valid(p, b, q, supports) -> np.ndarray:
     valid = np.zeros(len(p), dtype=bool)
     valid[alive[~reach.any(axis=(1, 2))]] = True
     return valid
-
-
-def _screened_pairs(p, q) -> np.ndarray:
-    """Per stacked network, the symmetric mask of latent pairs whose merge
-    adds no length-2 path (see nm), in float32: on nm's quotients each term
-    is at most m0^2 (an initial latent has at most one observed parent and
-    one observed child), exact far below 2^24."""
-    p, q = np.asarray(p, np.float32), np.asarray(q, np.float32)
-    sp, sq = p.sum(2)[:, :, None], q.sum(1)[:, None, :]
-    new = sp * sq - sp * (q.transpose(0, 2, 1) @ q) - (p @ p.transpose(0, 2, 1)) * sq
-    return (new == 0) & (new.transpose(0, 2, 1) == 0)
 
 
 def _disjoint_union(names: tuple[str, ...], nets: tuple[UnobservedNetwork, ...]) -> UnobservedNetwork:
@@ -304,139 +296,109 @@ def _exact_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _lag1_partitions(g0: UnobservedNetwork) -> np.ndarray:
-    """The minimal merge graphs of a class whose measurements stop at S_1,
-    one row per minimum partition of its S_1 entries into bicliques P x C
-    (see nm): entry t gets the index of its block, the blocks in the order
-    of their smallest entry.  ``g0`` is the class's init_graph; its latent t
-    is the entry src[t] -> t -> dst[t].
+def _prefix_fits(rows, opened, edges, targets, n, m) -> np.ndarray:
+    """Whether each restricted-growth row of initial latents 0..t-1, whose
+    first opened[r] blocks are open, may still complete to a valid
+    partition of m blocks (see nm): the quotient of the edges it assigns
+    passes _blocks_valid with counts allowed to fall short (at full length,
+    _blocks_valid itself), and m blocks can still cover its uncovered S_1
+    entries.  An open block can take an uncovered entry i -> j only if each
+    path its new parent i or child j adds is an uncovered target; blocks
+    only grow, so an entry no open block can take, an orphan, needs a new
+    block.  Orphans picked greedily, none able to share a biclique of
+    uncovered targets with one picked before, need one each, and m - opened
+    remain.  The float32 products count at most n 0/1 terms."""
+    t, m0 = rows.shape[1], edges.max() - n + 1  # the last initial latent has an observed child
+    p, b, q = _quotients(rows, edges[edges.max(1) - n < t], n)
+    ok = _blocks_valid(p, b, q, targets, t < m0)
+    p, q, opened = p[ok], q[ok], opened[ok]
+    free, spare = targets[0] & (q @ p == 0), m - opened  # q @ p [r, j, i]: paths i -> z -> j
+    if (free.sum((1, 2)) <= spare).all():  # each uncovered entry may still get a block of its own
+        return ok
+    taken = (~free).astype(np.float32)
+    live = (np.arange(p.shape[1]) < opened[:, None])[:, :, None]  # a chunk may hold more blocks than a row opened
+    parent = ((q.transpose(0, 2, 1) @ taken == 0) | (p > 0)) & live  # [r, z, i]: z may gain parent i
+    child = ((p @ taken.transpose(0, 2, 1) == 0) | (q.transpose(0, 2, 1) > 0)) & live  # [r, z, j]
+    takes = child.transpose(0, 2, 1).astype(np.float32) @ parent.astype(np.float32) > 0  # [r, j, i]
+    ej, ei = np.nonzero(targets[0])
+    orphans = free[:, ej, ei] & ~takes[:, ej, ei]
+    need, r = np.zeros(len(p), np.intp), np.arange(len(p))[:, None]
+    for _ in range(int(spare.max()) + 1):  # enough to tell need > spare
+        need += orphans.any(1)
+        o = orphans.argmax(1)[:, None]
+        orphans &= ~(free[r, ej, ei[o]] & free[r, ej[o], ei])  # drop the orphans that could share o's block
+    ok[ok] = need <= spare
+    return ok
 
-    Depth-first with the block budget k deepened from the rank of S_1
-    (_exact_rank, which needs no tolerance and, unlike an SVD, loads no
-    LAPACK code into the process); each step covers the smallest uncovered
-    entry with every biclique that holds it and lies in what is left, so
-    each partition turns up once, its blocks in that order.  A branch whose
-    remainder has rank above the blocks left is cut.
+
+def _min_partitions(g0: UnobservedNetwork, edges: np.ndarray, targets: list[np.ndarray], n: int) -> np.ndarray:
+    """The valid partitions of a class's initial latents (``g0``, with its
+    sorted (E, 2) ``edges`` and S_1.. ``targets``) with the fewest blocks,
+    as restricted-growth rows in lexicographic order: row r puts initial
+    latent t in block rows[r, t], each block opened by its smallest member.
+
+    The block count m is deepened from max(K, rank S_1): a longest path has
+    K distinct interior latents, and S_1 sums one rank-one 0/1 block per
+    latent with an observed parent and child.  At each m the initial latents
+    are assigned in init_graph's order, each to an open block or to the next
+    new one, up to m; the rows that can still open m blocks are checked by
+    _prefix_fits after each step, _CHUNK at a time.  Raises CapExceeded past
+    _ROW_BUDGET rows checked over all m.
     """
-    n = g0.n
-    _, p, _, q = g0.adjacency_blocks()
-    src, dst = p.argmax(1).tolist(), q.argmax(0).tolist()
-    bit = {(i, j): 1 << t for t, (i, j) in enumerate(zip(src, dst))}
-    rows, cols = sorted(set(src)), sorted(set(dst))
-    full = (1 << len(src)) - 1
-
-    def rank(left):
-        mat = {}
-        for t in range(len(src)):
-            if left >> t & 1:
-                mat.setdefault(src[t], [0] * n)[dst[t]] = 1
-        return _exact_rank(list(mat.values()))
-
-    def subsets(items):
-        return (s for r in range(len(items) + 1) for s in itertools.combinations(items, r))
-
-    def search(left, budget, blocks):
-        nonlocal visited
-        visited += 1
-        if visited > _LAG1_BUDGET:
-            raise CapExceeded(f"lag-1 partition search passed its budget of {_LAG1_BUDGET} nodes: "
-                              f"no partition has fewer than {k} bicliques, and the search for {k} did not end")
-        if not left:
-            found.append(list(blocks))
-            return
-        if not budget or left.bit_count() > budget and rank(left) > budget:
-            return
-        t = (left & -left).bit_length() - 1
-        i, j = src[t], dst[t]
-        for ps in subsets([r for r in rows if r != i and bit.get((r, j), 0) & left]):
-            ps = (i, *ps)
-            common = [c for c in cols if c != j and all(bit.get((r, c), 0) & left for r in ps)]
-            for cs in subsets(common):
-                cs = (j, *cs)
-                blocks.append((ps, cs))
-                search(left & ~sum(bit[r, c] for r in ps for c in cs), budget - 1, blocks)
-                blocks.pop()
-
-    found: list = []
-    visited = 0
-    k = rank(full)  # k rank-one 0/1 blocks sum to rank <= k
-    while not found:
-        search(full, k, [])
-        k += 1
-    return np.array([[next(z for z, (ps, cs) in enumerate(part) if i in ps and j in cs) for i, j in zip(src, dst)]
-                     for part in found])
+    m0 = g0.latent_count
+    depth = max(k + 1 for k, target in enumerate(targets) if target.any())
+    m, checked = max(depth, _exact_rank(targets[0].astype(int).tolist())), 0
+    while True:
+        rows, opened, block = np.zeros((1, 0), np.min_scalar_type(m0)), np.zeros(1, np.intp), np.arange(m)
+        for t in range(m0):  # row r may put latent t in block b <= opened[r] if it can still open m blocks
+            grow = (block <= opened[:, None]) & (np.maximum(opened[:, None], block + 1) + m0 - 1 - t >= m)
+            checked += int(grow.sum())
+            if checked > _ROW_BUDGET:
+                raise CapExceeded(f"nm's partition search passed its budget of {_ROW_BUDGET} rows: "
+                                  f"no partition has fewer than {m} blocks, and the search for {m} did not end")
+            r, z = np.nonzero(grow)
+            rows, opened = np.column_stack([rows[r], z.astype(rows.dtype)]), np.maximum(opened[r], z + 1)
+            ok = np.concatenate([_prefix_fits(rows[s : s + _CHUNK], opened[s : s + _CHUNK], edges, targets, n, m)
+                                 for s in range(0, len(rows), _CHUNK)])
+            rows, opened = rows[ok], opened[ok]
+            if not len(rows):
+                break
+        if len(rows):
+            return rows
+        m += 1
 
 
 def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwork]:
     """Node-merging search for all minimal consistent unobserved networks.
 
-    Per connected class: start from the private-path graph and, level by
-    level, collect every valid merge of the previous level.  A merge graph
-    is held as its partition of the class's initial latents: any order of
-    merges reaching it gives init_graph's quotient by it (each initial
-    latent replaced by its class, latents ordered by their smallest member,
-    edges inside a class dropped), so each partition is merged once per
-    level.  The last non-empty level holds the class's minimal networks;
-    only they are built, and deduplicated by canonical key keeping the first
-    of each isomorphism class.  By induction over levels a per-level dedup
-    returns the same: isomorphic partitions have isomorphic screened, valid
-    successors, and a partition it drops comes after the kept member of its
-    class, so every class it reaches that member reached first.  So at every
-    level the first partition of each class is the one it keeps, in the same
-    class order; isomorphic partitions meeting in one level change only the
-    work.  The search stays inside the single-path-per-length universe the
-    merge operation lives in: a merge result with duplicated same-length
-    paths is dropped (splitting such a node back would not reproduce the
-    private-path graph, so no minimal in-universe network is lost).  Classes
-    combine by disjoint union, sorted by canonical key: no class's list holds
-    two isomorphic networks, and an isomorphism keeps each latent in its
-    class, so no two unions are isomorphic, and each union is keyed once.
+    A merge graph of a class is a partition of its init_graph's latents,
+    held as the quotient by it: each initial latent replaced by its block,
+    blocks ordered by their smallest member, edges inside a block dropped.
+    Every minimal network with one latent path per pair and length is such a
+    quotient: send position s of the chain for S_k[j, i] to the s-th
+    interior latent of the one length-(k + 1) path i -> j.  A minimal
+    network has no latent off an observed-to-observed path (it could be
+    dropped), and every edge of such a network lies on one, so the map is
+    onto and the network is the quotient by its fibres.
 
-    A level is one stack of partition rows, as its networks share one
-    latent count (the merged latent each initial latent lies in, in the
-    narrowest unsigned dtype), with the pair screens of their quotients
-    (_quotients), which give candidates in frontier then combinations order.
-    Each level merges them and keeps the first candidate of each merged
-    partition, found by a stable lexsort of the rows: the candidate a
-    per-pair memo of seen partitions keeps, in the same order (validity
-    depends on the partition alone, so dedup before the check keeps the same
-    set).  It checks the kept rows' quotients and screens the valid ones from
-    the same blocks, so each candidate is quotiented once (the seed row and
-    the last level once more).  Quotients are built _CHUNK rows at a time:
-    they and their float32 screen and walk arrays hold at most _CHUNK networks.
+    Per class, _min_partitions finds the valid partitions with the fewest
+    blocks from below.  Its prune is sound: an assigned latent never moves
+    and blocks never merge, so a prefix's quotient is a subgraph of every
+    completion's, its walk counts and reachable cycles can only grow, and
+    an S_1 entry no open block can take stays so (_prefix_fits).  So every
+    prefix of a valid partition passes, and each block count yields exactly
+    its valid partitions.  No separate acyclicity test is needed:
+    init_graph's chains start at observed nodes, so a latent cycle in a
+    quotient keeps the walk alive past the latent count.  Only the minimal
+    partitions are built, and deduplicated by canonical key keeping the
+    first of each isomorphism class in restricted-growth order.
 
-    No separate acyclicity test is needed.  Every latent of a merge graph
-    lies on a path from an observed node: init_graph builds chains that start
-    at observed nodes, and a merge keeps every other in-edge, so walks from
-    the observed nodes survive it.  A latent cycle therefore keeps the walk
-    from the observed nodes alive past the latent count, and _blocks_valid
-    rejects the merge.
-
-    The pair screen skips only merges that cannot be valid: a valid
-    frontier network makes no length-2 path twice, so new[x, y] in
-    _screened_pairs counts exactly the paths parent(x) -> z -> child(y) that
-    neither x nor y makes, and _blocks_valid rejects a merge adding one.
-
-    A class whose targets past S_1 are all zero skips the levels for
-    _lag1_partitions.  Its initial latents are entries i -> z -> j, and a
-    merge graph there has no latent -> latent edge (it would make an S_2
-    entry), so each latent is a biclique P x C and a merge graph is valid
-    exactly when its bicliques partition the class's S_1 entries.  Every
-    partition is reached by valid merges (a block grows a row at a time,
-    then row by row), so the last level holds the minimum partitions.  Two
-    distinct partitions are never isomorphic with the observed nodes fixed,
-    so the dedup would keep them all: the partition search's rows, blocks
-    ordered by their smallest entry, give the same networks unkeyed.
-
-    ``cap`` bounds only each class's initial merge graph (CapExceeded).  The
-    lag-1 partition search has its own node budget, _LAG1_BUDGET, past which
-    it raises CapExceeded with the block count reached; on a 2-core box the
-    31-latent class of ``simulate --n 10 --m 5 --p 0.4 --q 0.4 --a 0.3 --T
-    20000 --seed 3`` takes 0.02 s (15 networks of 5 latents), and the 3 x 5
-    and 2 x 7 star censuses under 0.5 ms each.  Classes with a target past
-    S_1 have no bound past the cap: such a class below the cap can still run
-    for minutes, or out of memory, as a level's candidate arrays grow with
-    its pair count.
+    Classes combine by disjoint union, sorted by canonical key: no class's
+    list holds two isomorphic networks, and an isomorphism keeps each latent
+    in its class, so no two unions are isomorphic, and each union is keyed
+    once.  ``cap`` bounds only each class's initial graph (CapExceeded); the
+    search raises CapExceeded past _ROW_BUDGET rows, naming the block count
+    reached.
     """
     per_class: list[list[UnobservedNetwork]] = []
     for cls in connected_classes(meas):
@@ -448,34 +410,8 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
         targets = [s.astype(bool) & inside for s in meas.supports[1:]]
         g0 = init_graph(meas, cls, cap)
         edges = np.array(sorted(g0.edges))
-        if not any(t.any() for t in targets[1:]):
-            blocks = _quotients(_lag1_partitions(g0), edges, meas.n)
-            per_class.append([UnobservedNetwork.from_blocks(meas.names, *net) for net in zip(*blocks)])
-            continue
-        label = np.min_scalar_type(g0.latent_count)
-        parts = np.arange(g0.latent_count, dtype=label)[None]  # a level: one partition row per network
-        screened = _screened_pairs(*_quotients(parts, edges, meas.n)[::2])
-        while True:
-            f, x, y = np.nonzero(screened & ~np.tri(screened.shape[1], dtype=bool))  # frontier, then combinations order
-            if not len(f):
-                break
-            xl, yl = x.astype(label)[:, None], y.astype(label)[:, None]
-            merged = parts[f]
-            merged = np.where(merged == yl, xl, merged - (merged > yl).astype(label))
-            # first candidate of each merged partition, in candidate order
-            order = np.lexsort(merged.T[::-1])
-            ranked = merged[order]
-            first = merged[np.sort(order[np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]])]
-            valid, masks = [], []
-            for s in range(0, len(first), _CHUNK):  # check each chunk, then screen its valid rows' blocks
-                p, b, q = _quotients(first[s : s + _CHUNK], edges, meas.n)
-                valid.append(ok := _blocks_valid(p, b, q, targets))
-                masks.append(_screened_pairs(p[ok], q[ok]))
-            valid = np.concatenate(valid)
-            if not valid.any():
-                break
-            parts, screened = first[valid], np.concatenate(masks)
-        nets = [UnobservedNetwork.from_blocks(meas.names, *net) for net in zip(*_quotients(parts, edges, meas.n))]
+        blocks = _quotients(_min_partitions(g0, edges, targets, meas.n), edges, meas.n)
+        nets = [UnobservedNetwork.from_blocks(meas.names, *net) for net in zip(*blocks)]
         per_class.append(list({canonical_form(g): g for g in reversed(nets)}.values()))
     return sorted((_disjoint_union(meas.names, choice) for choice in itertools.product(*per_class)), key=canonical_form)
 

@@ -2,8 +2,7 @@
 (n <= 15 observed, m <= 10 latent): the census reproduces its own network,
 JSON round trips are exact, canonical keys ignore latent labels, and the
 merge search returns consistent networks of one latent count, no more than
-the generator's (n <= 8, at most 14 initial merge latents, or LAG1_INIT
-when the measurements stop at S_1).
+the generator's (n <= 8, at most INIT_LATENTS initial merge latents).
 
 Examples are derandomized and bounded, so every run checks the same cases."""
 
@@ -17,8 +16,8 @@ from latentvar import cli
 from conftest import single_path_per_length
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
-#: Initial merge latents a lag-1 draw of the nm test may have.
-LAG1_INIT = 40
+#: Initial merge latents a draw of the nm test may have.
+INIT_LATENTS = 40
 
 
 @st.composite
@@ -84,13 +83,9 @@ def test_canonical_form_ignores_latent_labels(data):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(single_path_networks(m_max=6, n_max=8))
 def test_nm_outputs_are_consistent_with_one_latent_count(net):
-    # at most 14 initial merge latents past lag 1, where nm merges level by
-    # level and its cost is heavy-tailed (draws of 14 take up to 1.1 s on a
-    # 2-core box, 13 under 0.1 s); lag-1 draws are partitioned into
-    # bicliques instead, and may reach LAG1_INIT
     meas = lv.complete_census(net)
     init = sum(k * int(s.sum()) for k, s in enumerate(meas.supports))
-    assume(init <= (LAG1_INIT if meas.max_k == 1 else 14))
+    assume(init <= INIT_LATENTS)
     nets = lv.nm(meas)
     assert all(lv.consistent(g, meas) for g in nets)
     counts = {g.latent_count for g in nets}

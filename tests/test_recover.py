@@ -12,15 +12,14 @@ import latentvar as lv
 from latentvar.errors import InconsistentRecovery, NotIdentifiable
 from latentvar.model import LinearMeasurements, UnobservedNetwork, consistent
 from latentvar.recover import (
-    _CHUNK,
     DEFAULT_CAP,
     _blocks_valid,
     _disjoint_union,
     _exact_rank,
-    _lag1_partitions,
     _latent_forest,
+    _min_partitions,
+    _prefix_fits,
     _quotients,
-    _screened_pairs,
     canonical_form,
     connected_classes,
     distance_matrix,
@@ -756,19 +755,21 @@ def pipeline_seed3_measurements():
 
 
 class TestNmLag1:
-    # classes whose measurements stop at S_1 are solved as minimum partitions
-    # of their S_1 entries into bicliques, not by merging level by level
+    # classes whose measurements stop at S_1: a valid partition there has no
+    # latent -> latent edge, so it is a partition of the S_1 entries into
+    # bicliques P x C, and the search starts at the rank of S_1
     @pytest.mark.parametrize("parents, children", [(3, 5), (2, 7)])
     def test_star_census_is_its_star(self, parents, children):
-        # 15 and 14 initial latents: 5.8 s and 10.9 s by merging
+        # 15 and 14 initial latents: 5.8 s and 10.9 s by merging from the top
         star = star_network(parents, children)
         assert lv.nm(lv.complete_census(star)) == [star]
 
     def test_31_latent_class_in_a_few_thousand_nodes(self, monkeypatch):
-        # merging ran out of a 2 GB memory limit on this class
+        # merging from the top ran out of a 2 GB memory limit on this class;
+        # the search from below checks 1,424 rows
         meas = pipeline_seed3_measurements()
         assert initial_latents(meas) == 31
-        monkeypatch.setattr("latentvar.recover._LAG1_BUDGET", 5000)
+        monkeypatch.setattr("latentvar.recover._ROW_BUDGET", 3_000)
         nets = lv.nm(meas)
         assert len(nets) == 15 and {g.latent_count for g in nets} == {5}
         assert all(lv.consistent(g, meas) for g in nets)
@@ -778,8 +779,9 @@ class TestNmLag1:
         meas = meas_from_entries(4, [(1, i, j) for i, j in [(0, 2), (0, 3), (1, 1), (1, 2), (2, 0), (2, 3), (3, 0), (3, 1)]])
         assert np.linalg.matrix_rank(meas.supports[1]) == 3
         assert [g.latent_count for g in lv.nm(meas)] == [4, 4]
-        monkeypatch.setattr("latentvar.recover._LAG1_BUDGET", 10)
-        with pytest.raises(lv.CapExceeded, match="budget of 10 .*fewer than 4 bicliques"):
+        # 3 blocks fail within 10 rows; 4 take 62 rows in all
+        monkeypatch.setattr("latentvar.recover._ROW_BUDGET", 10)
+        with pytest.raises(lv.CapExceeded, match="budget of 10 rows: no partition has fewer than 4 blocks"):
             lv.nm(meas)
 
     def test_exact_rank_matches_the_svd_rank(self):
@@ -821,9 +823,9 @@ class TestNmLag1:
 
 def reference_nm(meas, cap=DEFAULT_CAP):
     """``nm`` as it was when every level tried every latent pair of every
-    frontier network and merged each one.  Kept as the reference for the
-    length-2 screen, the partition memo and the stacked levels; its body is
-    unchanged but for calling the stacked helpers on one pair at a time."""
+    frontier network and merged each one, from the top down.  Kept as the
+    reference for the search from below; its body is unchanged but for
+    calling the stacked helpers on one pair at a time."""
     classes = connected_classes(meas)
     per_class: list[list[UnobservedNetwork]] = []
     for cls in classes:
@@ -914,28 +916,18 @@ def assert_nm_matches_reference(meas):
     assert got == want
 
 
-def count_lag1_classes(monkeypatch):
-    """Count the classes nm sends to the lag-1 partition search."""
-    calls = []
-    monkeypatch.setattr("latentvar.recover._lag1_partitions", lambda g0: calls.append(g0) or _lag1_partitions(g0))
-    return calls
-
-
 class TestNmMatchesReference:
-    def test_same_networks_in_the_same_order(self, monkeypatch):
-        lag1 = count_lag1_classes(monkeypatch)
+    def test_same_networks_in_the_same_order(self):
         compared = 0
         for meas in nm_comparison_inputs(draws=50, stream=4, unions=5):
             assert_nm_matches_reference(meas)
             compared += 1
         assert compared > 50
-        assert len(lag1) == 57  # lag-1 classes of 1-9 entries, partitioned without merging
 
-    def test_lag1_draws(self, monkeypatch):
+    def test_lag1_draws(self):
         # at most 7 initial latents: reference_nm took 118 s on the 473
         # lag-1 draws of nm_comparison_inputs' generator at 12, and 3.4 s on
         # the 11 draws of 8 among 400 here; the test above reaches 9
-        lag1 = count_lag1_classes(monkeypatch)
         rng = np.random.default_rng(36)
         compared = 0
         while compared < 400:
@@ -943,10 +935,8 @@ class TestNmMatchesReference:
             if got and got[1].max_k == 1:
                 assert_nm_matches_reference(got[1])
                 compared += 1
-        assert len(lag1) >= compared  # one call per class
 
-    def test_lag1_class_beside_a_deeper_class(self, monkeypatch):
-        lag1 = count_lag1_classes(monkeypatch)
+    def test_lag1_class_beside_a_deeper_class(self):
         rng = np.random.default_rng(37)
         draws = [got for got in (gen_single_path_instance(rng, n_max=4, init_cap=8) for _ in range(80)) if got]
         shallow = [net for net, meas in draws if meas.max_k == 1]
@@ -954,34 +944,37 @@ class TestNmMatchesReference:
         for a, b in zip(shallow[:8], deep[:8]):
             assert_nm_matches_reference(side_by_side(a, b))
             assert_nm_matches_reference(side_by_side(b, a))
-        assert len(lag1) == 16
+        assert len(shallow) >= 8 and len(deep) >= 8
+
+
+def class_targets(meas, cls):
+    """The S_1.. targets nm checks a class against: the supports inside it."""
+    inside = np.zeros(meas.n, dtype=bool)
+    inside[list(cls)] = True
+    return [s.astype(bool) & np.outer(inside, inside) for s in meas.supports[1:]]
+
+
+def min_partitions(meas, cls):
+    """_min_partitions on one class."""
+    g0 = init_graph(meas, cls)
+    return _min_partitions(g0, np.array(sorted(g0.edges)), class_targets(meas, cls), meas.n)
 
 
 class TestNmKeysOnlyItsOutput:
-    # one class: a key per disjoint union, and for a class past S_1 one per
-    # last-level network before it
-    @staticmethod
-    def keys_counted(meas, monkeypatch):
-        assert len(connected_classes(meas)) == 1
+    # one class: a key per minimal partition, then one per disjoint union
+    @pytest.mark.parametrize("source, partitions, networks", [("ambiguous", 2, 2), ("catalogue", 6, 2), ("lag-1", 2, 2)],
+                             ids=["ambiguous", "catalogue", "lag-1"])
+    def test_keys_per_minimal_partition_and_union(self, source, partitions, networks, ambig_meas, monkeypatch):
+        if source == "ambiguous":
+            meas = ambig_meas
+        else:
+            meas = next(m for m in catalogue_stream(np.random.default_rng(2017)) if (m.max_k == 1) == (source == "lag-1"))
+        (cls,) = connected_classes(meas)
+        assert len(min_partitions(meas, cls)) == partitions
         calls = []
         monkeypatch.setattr("latentvar.recover.canonical_form", lambda g: calls.append(g) or canonical_form(g))
-        return lv.nm(meas), calls
-
-    @pytest.mark.parametrize("source", ["ambiguous", "catalogue"])
-    def test_two_canonical_forms_per_returned_network(self, source, ambig_meas, monkeypatch):
-        deep = (meas for meas in catalogue_stream(np.random.default_rng(2017)) if meas.max_k > 1)
-        nets, calls = self.keys_counted(ambig_meas if source == "ambiguous" else next(deep), monkeypatch)
-        assert len(calls) == 2 * len(nets)
-        if source == "ambiguous":
-            assert len(calls) == 4
-
-    def test_one_canonical_form_per_lag1_network(self, monkeypatch):
-        # distinct partitions of a lag-1 class are never isomorphic, so its
-        # networks are not keyed before the union stage
-        meas = next(catalogue_stream(np.random.default_rng(2017)))
-        assert meas.max_k == 1
-        nets, calls = self.keys_counted(meas, monkeypatch)
-        assert len(nets) == 2 and len(calls) == len(nets)
+        assert len(lv.nm(meas)) == networks
+        assert len(calls) == partitions + networks
 
 
 def merged_partition(part, x, y):
@@ -990,60 +983,6 @@ def merged_partition(part, x, y):
 
 
 class TestMergeScreen:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_screen_admits_exactly_the_length2_valid_merges(self, seed):
-        # first two levels: every pair, screened or not, against q2 @ p2
-        rng = np.random.default_rng(7000 + seed)
-        verdicts = []
-        while len(verdicts) < 3000:
-            got = gen_single_path_instance(rng, n_max=6, init_cap=12)
-            if got is None:
-                continue
-            meas = got[1]
-            for cls in connected_classes(meas):
-                inside = np.zeros(meas.n, dtype=bool)
-                inside[list(cls)] = True
-                targets = [s.astype(bool) & np.outer(inside, inside) for s in meas.supports[1:]]
-                _, *blocks = (a.astype(np.int64) for a in init_graph(meas, cls).adjacency_blocks())
-                frontier = [blocks]
-                for _level in range(2):
-                    nxt = []
-                    for p, b, q in frontier:
-                        (screened,) = _screened_pairs(p[None], q[None])
-                        xs, ys = np.triu_indices(b.shape[0], 1)  # every pair, in combinations order
-                        merged = merge_blocks(p[None], b[None], q[None], np.zeros_like(xs), xs, ys)
-                        for (x, y), mp, mb, mq, valid in zip(zip(xs.tolist(), ys.tolist()), *merged, _blocks_valid(*merged, targets)):
-                            cnt = mq @ mp
-                            exact = (cnt <= 1).all() and np.array_equal(cnt > 0, targets[0])
-                            assert screened[x, y] == screened[y, x] == exact
-                            verdicts.append(exact)
-                            if valid:
-                                nxt.append((mp, mb, mq))
-                    frontier = nxt
-        assert any(verdicts) and not all(verdicts)
-
-    def test_screened_pairs_in_combinations_order(self):
-        # nm reads its candidates off the upper triangle of the stacked
-        # masks: frontier order, then combinations order
-        p = np.zeros((2, 5, 1), dtype=np.uint8)
-        q = np.zeros((2, 1, 5), dtype=np.uint8)
-        f, x, y = np.nonzero(np.triu(_screened_pairs(p, q), 1))
-        pairs = list(itertools.combinations(range(5), 2))
-        assert list(zip(f.tolist(), x.tolist(), y.tolist())) == [(k, *xy) for k in (0, 1) for xy in pairs]
-
-    def test_screened_pairs_of_a_stack(self):
-        # network 0 admits no pair, network 2 every pair, and network 1 all
-        # but (0, 1), whose merge makes the length-2 path 0 -> z -> 0
-        p = np.zeros((3, 3, 1), dtype=np.uint8)
-        q = np.zeros((3, 1, 3), dtype=np.uint8)
-        p[0], q[0] = 1, 1
-        p[1, 0, 0] = q[1, 0, 1] = 1
-        screened = _screened_pairs(p, q)
-        assert screened.dtype == bool and screened.shape == (3, 3, 3)
-        assert [_screened_pairs(p[f : f + 1], q[f : f + 1])[0].tolist() for f in range(3)] == screened.tolist()
-        assert not screened[0].any() and screened[2].all()
-        assert screened[1].tolist() == [[True, False, True], [False, True, True], [True, True, True]]
-
     @pytest.mark.parametrize("seed", range(3))
     def test_a_partition_merged_in_any_order_gives_the_same_blocks(self, seed):
         # nm holds each merge graph as a partition of the initial latents, and
@@ -1216,17 +1155,16 @@ class TestStackedCensusCheck:
 
     def test_the_same_stacks_in_any_dtype_give_the_same_masks_and_verdicts(self):
         # nm hands over float32 stacks, recover_tree and the oracle int64
-        # ones, and the tests uint8 ones: every pair of a first-level stack;
-        # a 24-latent chain beside the complete latent DAG on its latents,
-        # which has 2^22 latent paths from its first latent to its last, and
-        # both with one observed edge added; and two networks whose screen
-        # or walk sums reach 256, where uint8 arithmetic wraps to 0: two
-        # latents sharing 256 parents and a child, and 256 parallel i -> z -> j
-        wide = np.zeros((1, 2, 257), np.int64), np.zeros((1, 2, 2), np.int64), np.zeros((1, 257, 2), np.int64)
-        wide[0][0, :, :256] = wide[2][0, 256] = 1
+        # ones, and the tests uint8 ones: the masks of nm's prefix check, by
+        # which its prune keeps rows, and the full check's verdicts, on every
+        # pair of a first-level stack; a 24-latent chain beside the complete
+        # latent DAG on its latents, which has 2^22 latent paths from its
+        # first latent to its last, and both with one observed edge added;
+        # and 256 parallel i -> z -> j, whose walk sum reaches 256, where
+        # uint8 arithmetic wraps to 0
         parallel = np.ones((1, 256, 2), np.int64), np.zeros((1, 256, 256), np.int64), np.ones((1, 2, 256), np.int64)
         parallel[0][0, :, 1] = parallel[2][0, 0] = 0
-        stacks = [(wide, [np.zeros((257, 257), bool)]), (parallel, [np.zeros((2, 2), bool)])]
+        stacks = [(parallel, [np.zeros((2, 2), bool)])]
         for entries in ([(2, 0, 1), (2, 1, 0)], [(2, 0, 1), (3, 1, 2), (1, 2, 0)], [(1, 1, 2), (2, 0, 3), (2, 1, 3)]):
             meas = meas_from_entries(4, entries)
             stack = [a[None] for a in int_blocks(init_graph(meas, frozenset(range(4))))]
@@ -1239,23 +1177,23 @@ class TestStackedCensusCheck:
         blocks = [np.stack(a) for a in zip(*(int_blocks(g) for g in nets))]
         for g in nets[:2]:
             stacks.append((blocks, census_targets(lv.complete_census(g))))
-        verdicts = []
+        masks, verdicts = [], []
         for (p, b, q), targets in stacks:
-            want = _screened_pairs(p, q), _blocks_valid(p, b, q, targets)
+            want = [_blocks_valid(p, b, q, targets, prefix) for prefix in (True, False)]
             for dtype in (np.uint8, np.int64, np.float32):
                 p2, b2, q2 = (a.astype(dtype) for a in (p, b, q))
-                assert np.array_equal(_screened_pairs(p2, q2), want[0])
-                assert np.array_equal(_blocks_valid(p2, b2, q2, targets), want[1])
+                assert [_blocks_valid(p2, b2, q2, targets, prefix).tolist() for prefix in (True, False)] == [w.tolist() for w in want]
+            masks.extend(want[0].tolist())
             verdicts.extend(want[1].tolist())
         assert _blocks_valid(*blocks, stacks[-2][1]).tolist() == [True, False, False, False]
-        assert not _screened_pairs(wide[0], wide[2]).any() and not _blocks_valid(*parallel, stacks[1][1]).any()
+        assert not _blocks_valid(*parallel, stacks[0][1]).any() and not _blocks_valid(*parallel, stacks[0][1], True).any()
         assert True in verdicts and False in verdicts
+        assert (True, False) in zip(masks, verdicts) and (False, False) in zip(masks, verdicts)
 
 
 def two_level_census():
     """Census of a latent with observed parents 1, 2 and child 3 that feeds
-    a latent with children 4, 5: K = 2 and 10 initial merge latents, 717
-    merges checked."""
+    a latent with children 4, 5: K = 2 and 10 initial merge latents."""
     edges = {(0, 5), (1, 5), (5, 2), (5, 6), (6, 3), (6, 4)}
     return lv.complete_census(UnobservedNetwork(tuple("12345"), 2, frozenset(edges)))
 
@@ -1271,81 +1209,59 @@ class TestNmChunks:
             assert got == want
 
 
-def per_pair_candidates(meas):
-    """The merges nm's per-pair level loop checked, in order: per class with
-    a target past S_1 and per level, each frontier network's screened pairs
-    in combinations order, skipping a partition already merged at that
-    level.  Kept as the reference for the order of the stacked levels."""
-    checked = []
-    for cls in connected_classes(meas):
-        inside = np.zeros(meas.n, dtype=bool)
-        inside[list(cls)] = True
-        targets = [s.astype(bool) & np.outer(inside, inside) for s in meas.supports[1:]]
-        if not any(t.any() for t in targets[1:]):
-            continue  # a lag-1 class: nm partitions its entries without merging
-        blocks0 = int_blocks(init_graph(meas, cls))
-        frontier = {tuple(range(blocks0[1].shape[0])): blocks0}
-        while frontier:
-            nxt, seen = {}, set()
-            for part, (p, b, q) in frontier.items():
-                (screened,) = _screened_pairs(p[None], q[None])
-                for x, y in itertools.combinations(range(b.shape[0]), 2):
-                    if screened[x, y] and (merged_part := merged_partition(part, x, y)) not in seen:
-                        seen.add(merged_part)
-                        checked.append(merged := merge_one((p, b, q), x, y))
-                        if valid_one(merged, targets):
-                            nxt[merged_part] = merged
-            frontier = nxt
-    return checked
+def valid_partitions(meas, cls):
+    """Every valid partition of a class's initial latents that valid merges
+    reach from init_graph's, level by level, as restricted-growth tuples:
+    the former top-down search without its screen and without stopping at
+    its last level.  An independent source of valid partitions of every
+    block count."""
+    g0 = init_graph(meas, cls)
+    edges, targets = np.array(sorted(g0.edges)), class_targets(meas, cls)
+    level, found = [tuple(range(g0.latent_count))], []
+    while level:
+        found.extend(level)
+        merged = sorted({merged_partition(part, x, y) for part in level for x, y in itertools.combinations(range(max(part) + 1), 2)})
+        if not merged:
+            break
+        level = [part for part, ok in zip(merged, _blocks_valid(*_quotients(np.array(merged), edges, meas.n), targets)) if ok]
+    return np.array(found), edges, targets
 
 
-class TestNmLevelOrder:
-    @pytest.mark.parametrize("chunk", [2048, 3])
-    def test_candidates_checked_in_the_per_pair_order(self, chunk, monkeypatch):
-        # the stacked dedup keeps the first candidate of each partition and
-        # checks the kept ones in candidate order, as the per-pair loop did
-        checked = []
+class TestNmFromBelow:
+    def test_every_prefix_of_a_valid_partition_passes_the_prune(self):
+        # the prune may only cut prefixes that no valid partition extends: a
+        # prefix's quotient is a subgraph of every completion's, and its
+        # orphans need new blocks
+        checked = 0
+        for meas in nm_comparison_inputs(draws=50, stream=4, unions=5):
+            for cls in connected_classes(meas):
+                rows, edges, targets = valid_partitions(meas, cls)
+                for m in set(rows.max(1) + 1):  # the block count at which the search meets a row
+                    same = rows[rows.max(1) + 1 == m]
+                    for t in range(1, same.shape[1] + 1):
+                        assert _prefix_fits(same[:, :t], same[:, :t].max(1) + 1, edges, targets, meas.n, m).all()
+                checked += len(rows)
+        assert checked > 1000
 
-        def spy(p, b, q, supports):
-            checked.extend(zip(p, b, q))
-            return _blocks_valid(p, b, q, supports)
-
-        monkeypatch.setattr("latentvar.recover._CHUNK", chunk)
-        monkeypatch.setattr("latentvar.recover._blocks_valid", spy)
-        key = lambda blocks: [(a.shape, a.astype(np.uint8).tobytes()) for a in blocks]  # noqa: E731
-        compared = 0
-        for meas in [*nm_comparison_inputs(draws=20, stream=2, unions=2), two_level_census()]:
-            checked.clear()
-            lv.nm(meas)
-            want = per_pair_candidates(meas)
-            assert [key(c) for c in checked] == [key(c) for c in want]
-            compared += len(want)
-        assert compared > 1000
-
-
-class TestNmQuotientsOnce:
-    def test_each_kept_candidate_is_quotiented_once(self, monkeypatch):
-        # one K > 1 catalogue draw: the seed row is quotiented for its
-        # screen, each kept candidate once for its check and, when valid, its
-        # screen, and the last level once more to build its networks
-        meas = next(meas for meas in catalogue_stream(np.random.default_rng(2017)) if meas.max_k > 1)
-        assert len(connected_classes(meas)) == 1
-        quotiented, verdicts = [], []
-
-        def quotients(parts, edges, n):
-            quotiented.append(len(parts))
-            return _quotients(parts, edges, n)
-
-        def blocks_valid(p, b, q, supports):
-            verdicts.append(valid := _blocks_valid(p, b, q, supports))
-            return valid
-
-        monkeypatch.setattr("latentvar.recover._quotients", quotients)
-        monkeypatch.setattr("latentvar.recover._blocks_valid", blocks_valid)
-        lv.nm(meas)
-        assert all(len(v) < _CHUNK for v in verdicts)  # each level checked in one chunk
-        last = next(v for v in reversed(verdicts) if v.any())
-        assert sum(quotiented) == 1 + sum(map(len, verdicts)) + last.sum()
+    def test_ladder_past_the_levels_reach(self):
+        # 20 K > 1 draws of 16-24 initial latents, where merging from the top
+        # took up to 80 s a draw: every output is consistent, of one latent
+        # count between max(K, rank S_1) and the generator's, and the first 4
+        # give the oracle's networks
+        rng = np.random.default_rng(7)
+        drawn = 0
+        while drawn < 20:
+            got = gen_single_path_instance(rng, n_max=6, init_cap=24)
+            if got is None or got[1].max_k == 1 or initial_latents(got[1]) < 16:
+                continue
+            net, meas = got
+            nets = lv.nm(meas)
+            assert all(lv.consistent(g, meas) for g in nets)
+            (k,) = {g.latent_count for g in nets}
+            assert max(meas.max_k, _exact_rank(meas.supports[1].tolist())) <= k <= net.latent_count
+            if drawn < 4:
+                assert canon_keys(nets) == canon_keys(lv.oracle_minimal(meas, net.latent_count))
+            drawn += 1
 
 
 class TestMergeSearchLevels:
