@@ -42,7 +42,6 @@ from .model import (
     true_linear_measurements,
 )
 from .recover import (
-    DEFAULT_CAP,
     dtr,
     nm,
     oracle_minimal,

@@ -294,7 +294,6 @@ _OPTIONS = {
     ),
     "recovery": (
         ("--mode", "mode", str, "dtr", "recovery algorithm"),
-        ("--cap", "cap", int, rec.DEFAULT_CAP, "latent budget per connected class, read by --mode nm"),
     ),
 }
 _CHOICES = {"criterion": ("aic", "fpe"), "mode": ("tree", "dtr", "nm")}
@@ -331,8 +330,8 @@ def _check_options(args: argparse.Namespace) -> None:
     opts = vars(args)
     if "alpha" in opts and not 0.0 < args.alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
-    if any(opts.get(key, 1) < 1 for key in ("lag_max", "cap")):
-        raise InputError("lag-max and cap must be >= 1")
+    if opts.get("lag_max", 1) < 1:
+        raise InputError("lag-max must be >= 1")
     if "mode" in opts and args.mode not in _CHOICES["mode"]:
         raise InputError(f"unknown mode {args.mode!r}")
     if "criterion" in opts and args.criterion not in _CHOICES["criterion"]:
@@ -388,7 +387,7 @@ def _recover_networks(meas: mdl.LinearMeasurements, args) -> list[mdl.Unobserved
         return [rec.dtr(meas)]
     if args.mode == "tree":
         return [rec.recover_tree(meas)]
-    return rec.nm(meas, cap=args.cap)
+    return rec.nm(meas)
 
 
 def _cmd_recover(args) -> int:

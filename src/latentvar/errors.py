@@ -34,7 +34,8 @@ class AmbiguousDistance(LatentVarError):
 
 
 class CapExceeded(LatentVarError):
-    """An initial merge graph needs more latent nodes than the configured cap."""
+    """nm's partition search on a class passed its budget of row entries
+    (rows checked times the class's initial latent count)."""
 
 
 class ScaleExceeded(LatentVarError):

@@ -28,25 +28,19 @@ class BoundPriors:
     """Prior bounds needed to evaluate the coefficient error bound on data.
 
     ``rho12`` bounds the spectral norm of the latent-to-observed block,
-    ``rho22`` (< 1) that of the latent block, ``sigma_z2_max`` the latent
-    noise variance, and ``a_min`` the smallest nonzero path-coefficient
-    magnitude per lag index, stored as a tuple; no fit or gate reads it.
+    ``rho22`` (< 1) that of the latent block and ``sigma_z2_max`` the latent
+    noise variance.
     """
 
     rho12: float
     rho22: float
     sigma_z2_max: float
-    a_min: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
         if not 0.0 < self.rho22 < 1.0:
             raise ValueError("rho22 must lie in (0, 1)")
         if not (0 <= self.rho12 < math.inf and 0 < self.sigma_z2_max < math.inf):  # NaN fails both
             raise ValueError("rho12 must lie in [0, inf) and sigma_z2_max in (0, inf)")
-        a_min = tuple(float(v) for v in np.atleast_1d(self.a_min))
-        if not a_min or not all(v >= 0 for v in a_min):  # NaN fails v >= 0
-            raise ValueError(f"a_min must hold one or more values >= 0, got {a_min}")
-        object.__setattr__(self, "a_min", a_min)
 
 
 @dataclass

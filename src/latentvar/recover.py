@@ -8,7 +8,8 @@ Three recovery routes plus a small-scale exhaustive oracle:
 * ``nm``           -- node-merging search returning every consistent network
                       with the minimum number of latent nodes: the valid
                       partitions of each class's initial merge graph with
-                      the fewest blocks, searched from below.
+                      the fewest blocks, searched from below within one
+                      budget of row entries.
 * ``recover_tree`` -- one realization when the unobserved network is a
                       directed tree whose latent nodes all have two parents
                       and two children, built in one pass from the latent
@@ -40,16 +41,16 @@ from .model import (
     consistent,
 )
 
-#: Initial-graph latent budget per connected class before NM gives up.
-DEFAULT_CAP = 40
-
 #: Partition rows nm checks at once; bounds its float32 block stacks and
 #: walk arrays.
 _CHUNK = 2048
 
-#: Partition rows nm may check in one class, prefixes included, over all its
-#: block counts, before it gives up on the class (CapExceeded).
-_ROW_BUDGET = 2_000_000
+#: Row entries nm may check in one class before it gives up on it
+#: (CapExceeded): each row checked, prefixes included and over all block
+#: counts, counts as the class's initial latent count m0.  A row holds up to
+#: m0 entries and its quotient costs O(m0) edges, so this one number bounds
+#: both the search's memory and its work at any m0: 2,000,000 rows at m0 = 40.
+_BUDGET = 80_000_000
 
 #: Hard limits of the exhaustive oracle.
 ORACLE_MAX_N = 6
@@ -202,7 +203,7 @@ def connected_classes(meas: LinearMeasurements) -> list[frozenset[int]]:
     return [frozenset(c) for c in _components(paths) if incident[c[0]]]
 
 
-def init_graph(meas: LinearMeasurements, cls: frozenset[int], cap: int = DEFAULT_CAP) -> UnobservedNetwork:
+def init_graph(meas: LinearMeasurements, cls: frozenset[int]) -> UnobservedNetwork:
     """Initial merge graph: one private latent chain per measurement entry.
 
     Every S_r[j, i] = 1 with i, j in the class contributes r fresh latent
@@ -211,9 +212,6 @@ def init_graph(meas: LinearMeasurements, cls: frozenset[int], cap: int = DEFAULT
     n = meas.n
     members = sorted(cls)
     ones = [(k, i, j) for k in range(1, meas.max_k + 1) for i in members for j in members if meas.supports[k][j, i]]
-    needed = sum(k for k, _, _ in ones)
-    if needed > cap:
-        raise CapExceeded(f"initial graph needs {needed} latent nodes, cap is {cap}")
     edges: set[tuple[int, int]] = set()
     m = 0
     for k, i, j in ones:
@@ -342,8 +340,8 @@ def _min_partitions(g0: UnobservedNetwork, edges: np.ndarray, targets: list[np.n
     latent with an observed parent and child.  At each m the initial latents
     are assigned in init_graph's order, each to an open block or to the next
     new one, up to m; the rows that can still open m blocks are checked by
-    _prefix_fits after each step, _CHUNK at a time.  Raises CapExceeded past
-    _ROW_BUDGET rows checked over all m.
+    _prefix_fits after each step, _CHUNK at a time.  Raises CapExceeded once
+    the rows checked over all m, times m0, pass _BUDGET.
     """
     m0 = g0.latent_count
     depth = max(k + 1 for k, target in enumerate(targets) if target.any())
@@ -352,10 +350,11 @@ def _min_partitions(g0: UnobservedNetwork, edges: np.ndarray, targets: list[np.n
         rows, opened, block = np.zeros((1, 0), np.min_scalar_type(m0)), np.zeros(1, np.intp), np.arange(m)
         for t in range(m0):  # row r may put latent t in block b <= opened[r] if it can still open m blocks
             grow = (block <= opened[:, None]) & (np.maximum(opened[:, None], block + 1) + m0 - 1 - t >= m)
-            checked += int(grow.sum())
-            if checked > _ROW_BUDGET:
-                raise CapExceeded(f"nm's partition search passed its budget of {_ROW_BUDGET} rows: "
-                                  f"no partition has fewer than {m} blocks, and the search for {m} did not end")
+            checked += int(grow.sum()) * m0
+            if checked > _BUDGET:
+                raise CapExceeded(f"nm's partition search passed its budget of {_BUDGET} row entries "
+                                  f"(rows checked x {m0} initial latents): no partition has fewer than "
+                                  f"{m} blocks, and the search for {m} did not end")
             r, z = np.nonzero(grow)
             rows, opened = np.column_stack([rows[r], z.astype(rows.dtype)]), np.maximum(opened[r], z + 1)
             ok = np.concatenate([_prefix_fits(rows[s : s + _CHUNK], opened[s : s + _CHUNK], edges, targets, n, m)
@@ -368,7 +367,7 @@ def _min_partitions(g0: UnobservedNetwork, edges: np.ndarray, targets: list[np.n
         m += 1
 
 
-def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwork]:
+def nm(meas: LinearMeasurements) -> list[UnobservedNetwork]:
     """Node-merging search for all minimal consistent unobserved networks.
 
     A merge graph of a class is a partition of its init_graph's latents,
@@ -396,9 +395,9 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
     Classes combine by disjoint union, sorted by canonical key: no class's
     list holds two isomorphic networks, and an isomorphism keeps each latent
     in its class, so no two unions are isomorphic, and each union is keyed
-    once.  ``cap`` bounds only each class's initial graph (CapExceeded); the
-    search raises CapExceeded past _ROW_BUDGET rows, naming the block count
-    reached.
+    once.  The one bound is the search's budget: it raises CapExceeded once
+    a class's rows checked, times its initial latent count, pass _BUDGET,
+    naming the block count reached.
     """
     per_class: list[list[UnobservedNetwork]] = []
     for cls in connected_classes(meas):
@@ -408,7 +407,7 @@ def nm(meas: LinearMeasurements, cap: int = DEFAULT_CAP) -> list[UnobservedNetwo
         # An all-zero trailing target asks only what the post-support walk
         # of _blocks_valid checks anyway, so the targets are not trimmed.
         targets = [s.astype(bool) & inside for s in meas.supports[1:]]
-        g0 = init_graph(meas, cls, cap)
+        g0 = init_graph(meas, cls)
         edges = np.array(sorted(g0.edges))
         blocks = _quotients(_min_partitions(g0, edges, targets, meas.n), edges, meas.n)
         nets = [UnobservedNetwork.from_blocks(meas.names, *net) for net in zip(*blocks)]

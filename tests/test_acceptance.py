@@ -300,12 +300,14 @@ def test_companion_mean_latent_bias_falls_with_noise_ratio():
     assert means[0] / means[-1] > 100.0
 
 
-def test_companion_latent_budget_boundary(ambig_meas):
-    """The initial merge graph for the ambiguity example needs exactly five
-    latent nodes: a budget of 5 works, 4 raises the budget error."""
-    assert len(lv.nm(ambig_meas, cap=5)) == 2
+def test_companion_latent_budget_boundary(ambig_meas, monkeypatch):
+    """The search on the ambiguity example checks 20 rows of its five initial
+    latents: a budget of 100 row entries works, 99 raises the budget error."""
+    monkeypatch.setattr("latentvar.recover._BUDGET", 100)
+    assert len(lv.nm(ambig_meas)) == 2
+    monkeypatch.setattr("latentvar.recover._BUDGET", 99)
     with pytest.raises(lv.CapExceeded):
-        lv.nm(ambig_meas, cap=4)
+        lv.nm(ambig_meas)
 
 
 # --- companions: the abstract's claim that the results hold for non-Gaussian

@@ -454,7 +454,7 @@ def test_cli_imports_only_stdlib_and_numpy():
 
 PUBLIC_NAMES = [
     "AmbiguousDistance", "BlockTransitionMatrix", "BoundPriors", "CapExceeded",
-    "CyclicLatent", "DEFAULT_CAP", "DrgConfig", "EstimationReport", "InconsistentRecovery",
+    "CyclicLatent", "DrgConfig", "EstimationReport", "InconsistentRecovery",
     "InsufficientData", "LatentVarError", "LatentVarModel", "LinearMeasurements",
     "NonStationary", "NotIdentifiable", "ScaleExceeded", "SingularCovariance", "TimeSeriesPanel",
     "UnobservedNetwork", "autocov", "block_toeplitz", "canonical_form", "complete_census",
@@ -544,21 +544,20 @@ class TestRecoverCommand:
             assert [unescape(m.group(1)) for m in nodes] == want_nodes
             assert sorted([unescape(m.group(1)), unescape(m.group(2))] for m in edges) == net["edges"]
 
-    def test_cap_exceeded_exits_3(self, ambig_meas_json, tmp_path, capsys):
-        code = run(["recover", ambig_meas_json, "--mode", "nm", "--cap", "4",
-                    "--out", str(tmp_path / "x.json")])
+    def test_cap_exceeded_exits_3(self, ambig_meas_json, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("latentvar.recover._BUDGET", 99)  # one row entry short
+        code = run(["recover", ambig_meas_json, "--mode", "nm", "--out", str(tmp_path / "x.json")])
         assert code == 3
         assert "CapExceeded" in capsys.readouterr().err
 
-    def test_tree_mode_ignores_cap(self, tmp_path, no_merge_search):
+    def test_tree_mode_builds_a_49_latent_star_without_search(self, tmp_path, no_merge_search):
         # one latent with 7 observed parents and 7 observed children: its
-        # initial merge graph has 49 latents, so the merge search would stop at
-        # any cap below that, but tree mode neither reads --cap nor searches
+        # initial merge graph has 49 latents, and tree mode never searches
         star = lv.UnobservedNetwork(tuple(f"x{i}" for i in range(14)), 1,
                                     frozenset({(i, 14) for i in range(7)} | {(14, j) for j in range(7, 14)}))
         path, out = tmp_path / "star.json", tmp_path / "net.json"
         cli.write_json(str(path), cli.measurements_to_json(lv.complete_census(star)))
-        assert run(["recover", str(path), "--mode", "tree", "--cap", "1", "--out", str(out)]) == 0
+        assert run(["recover", str(path), "--mode", "tree", "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == cli.network_to_json(star)
 
     def test_bad_json_exits_2(self, tmp_path):
@@ -969,11 +968,11 @@ class TestLagBound:
 class TestConfigResolution:
     def test_config_file_supplies_values(self, tmp_path, dairy_meas_json):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("mode = dtr\ncap = 30\n# a comment\n")
+        cfgfile.write_text("mode = nm\n# a comment\n")
         out = tmp_path / "out.json"
         assert run(["recover", dairy_meas_json, "--config", str(cfgfile),
                     "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["latent_count"] == 1
+        assert [g["latent_count"] for g in json.loads(out.read_text())] == [1]  # nm writes a list
 
     def test_flags_override_config(self, tmp_path, ambig_meas_json):
         cfgfile = tmp_path / "run.cfg"
@@ -1038,6 +1037,19 @@ class TestConfigResolution:
         assert "run.cfg:1: no command reads config key 'a_min'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cap_is_not_an_option(self, tmp_path, capsys, ambig_meas_json):
+        # nm's one bound is its search budget, which no flag or key sets
+        out = tmp_path / "n.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["recover", ambig_meas_json, "--mode", "nm", "--cap", "4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--cap" in capsys.readouterr().err
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("cap = 30\n")
+        assert run(["recover", ambig_meas_json, "--mode", "nm", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert "run.cfg:1: no command reads config key 'cap'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flag_spelling_of_a_key_exits_2(self, tmp_path, capsys):
         # the --T flag stores t_len; a file must use the stored name
         cfgfile = tmp_path / "run.cfg"
@@ -1061,18 +1073,18 @@ class TestConfigResolution:
         obj = json.loads(report.read_text())
         assert (obj["lag"], obj["alpha"]) == (1, 0.01)
 
-    #: a value for each of the 20 config keys, off its default and within its checks
+    #: a value for each of the 19 config keys, off its default and within its checks
     KEY_VALUES = {
         "n": 5, "m": 3, "p": 0.25, "q": 0.3, "p_obs": 0.2, "a": 0.2, "sigma_x2": 2.0, "sigma_z2": 0.5,
         "t_len": 77, "burn_in": 9, "seed": 11, "lag": 2, "lag_max": 3, "criterion": "fpe", "alpha": 0.01,
-        "rho12": 0.5, "rho22": 0.4, "sigma_z2_max": 1.5, "mode": "nm", "cap": 7,
+        "rho12": 0.5, "rho22": 0.4, "sigma_z2_max": 1.5, "mode": "nm",
     }
     ESTIMATION = ["lag", "lag_max", "criterion", "alpha", "rho12", "rho22", "sigma_z2_max"]
     READERS = {
         "simulate": ["n", "m", "p", "q", "p_obs", "a", "sigma_x2", "sigma_z2", "t_len", "burn_in", "seed"],
         "estimate": ESTIMATION,
-        "recover": ["mode", "cap"],
-        "pipeline": ESTIMATION + ["mode", "cap"],
+        "recover": ["mode"],
+        "pipeline": ESTIMATION + ["mode"],
     }
 
     def test_each_config_key_reaches_the_commands_that_read_it(self, tmp_path, monkeypatch):

@@ -369,17 +369,6 @@ class TestProp1Bound:
 
 
 class TestBoundPriors:
-    @pytest.mark.parametrize("a_min", [0.05, (0.05,), [0.0, 0.1], math.inf])
-    def test_accepts_nonnegative_floors(self, a_min):
-        priors = lv.BoundPriors(0.4, 0.3, 1.0, a_min)
-        assert priors.a_min == tuple(np.atleast_1d(a_min).tolist())
-
-    @pytest.mark.parametrize("a_min", [(), [], -0.1, (0.1, -1e-9), math.nan, (0.1, math.nan)])
-    def test_rejects_unusable_floors(self, a_min):
-        with pytest.raises(ValueError, match="a_min"):
-            lv.BoundPriors(0.4, 0.3, 1.0, a_min)
-
-
     @pytest.mark.parametrize("rho12, sigma_z2_max", [(math.nan, 1.0), (math.inf, 1.0), (-0.1, 1.0),
                                                       (0.4, math.nan), (0.4, math.inf), (0.4, 0.0)])
     def test_rejects_unusable_norm_and_variance_bounds(self, rho12, sigma_z2_max):

@@ -1,7 +1,6 @@
 """Recovery tests: node profiles, unique parents, DTR, the merge search, the
 tree route, and the exhaustive oracle."""
 
-import inspect
 import itertools
 import sys
 
@@ -12,7 +11,6 @@ import latentvar as lv
 from latentvar.errors import InconsistentRecovery, NotIdentifiable
 from latentvar.model import LinearMeasurements, UnobservedNetwork, consistent
 from latentvar.recover import (
-    DEFAULT_CAP,
     _blocks_valid,
     _disjoint_union,
     _exact_rank,
@@ -324,11 +322,10 @@ class TestRecoverTree:
         assert lv.recover_tree(meas).latent_count == 0
 
     def test_seven_by_seven_star_needs_no_cap(self):
-        # 49 initial merge latents, past the merge search's default cap of 40
+        # 49 initial merge latents, built in one pass with no search
         star = star_network(7, 7)
         meas = lv.complete_census(star)
-        assert initial_latents(meas) > DEFAULT_CAP
-        assert "cap" not in inspect.signature(lv.recover_tree).parameters
+        assert initial_latents(meas) == 49
         assert lv.recover_tree(meas) == star
 
     def test_observed_node_feeding_two_latent_components(self):
@@ -374,13 +371,13 @@ def test_recover_tree_returns_one_of_several_tree_shaped_minima():
     assert len(keys) == 2 and lv.canonical_form(rec) in keys
 
 
-def reference_recover_tree(meas, cap=DEFAULT_CAP):
+def reference_recover_tree(meas):
     """``recover_tree`` as it was when it ran the merge search and kept the
     one minimal network passing the tree and degree filters.  Kept as the
     reference for the one-pass construction; its body is unchanged."""
     distance_matrix(meas)
     keep = []
-    for g in nm(meas, cap):
+    for g in nm(meas):
         _, a_ol, a_ll, a_lo = g.adjacency_blocks()
         indeg, outdeg = a_ol.sum(1) + a_ll.sum(1), a_lo.sum(0) + a_ll.sum(0)
         if _latent_forest(a_ll) and (indeg >= 2).all() and (outdeg >= 2).all():
@@ -593,10 +590,6 @@ class TestInitGraph:
         g = init_graph(ambig_meas, frozenset())
         assert g.latent_count == 0 and not g.edges
 
-    def test_cap(self, ambig_meas):
-        with pytest.raises(lv.CapExceeded):
-            init_graph(ambig_meas, frozenset({0, 1, 2, 3}), cap=4)
-
 
 def int_blocks(g):
     """g's (obs->latent, latent->latent, latent->obs) blocks as int64 arrays."""
@@ -714,9 +707,11 @@ class TestNm:
         nets = lv.nm(meas)
         assert len(nets) == 1 and nets[0].latent_count == 0
 
-    def test_cap_respected(self, ambig_meas):
-        with pytest.raises(lv.CapExceeded):
-            lv.nm(ambig_meas, cap=4)
+    def test_cap_respected(self, ambig_meas, monkeypatch):
+        # the search checks 20 rows of 5 initial latents, 100 row entries
+        monkeypatch.setattr("latentvar.recover._BUDGET", 99)
+        with pytest.raises(lv.CapExceeded, match=r"budget of 99 row entries \(rows checked x 5 initial latents\)"):
+            lv.nm(ambig_meas)
 
     def test_outputs_sorted_and_deterministic(self, ambig_meas):
         a = lv.nm(ambig_meas)
@@ -758,18 +753,19 @@ class TestNmLag1:
     # classes whose measurements stop at S_1: a valid partition there has no
     # latent -> latent edge, so it is a partition of the S_1 entries into
     # bicliques P x C, and the search starts at the rank of S_1
-    @pytest.mark.parametrize("parents, children", [(3, 5), (2, 7)])
+    @pytest.mark.parametrize("parents, children", [(3, 5), (2, 7), (7, 7)])
     def test_star_census_is_its_star(self, parents, children):
-        # 15 and 14 initial latents: 5.8 s and 10.9 s by merging from the top
+        # 15, 14 and 49 initial latents; merging from the top took 5.8 s and
+        # 10.9 s on the first two
         star = star_network(parents, children)
         assert lv.nm(lv.complete_census(star)) == [star]
 
     def test_31_latent_class_in_a_few_thousand_nodes(self, monkeypatch):
         # merging from the top ran out of a 2 GB memory limit on this class;
-        # the search from below checks 1,424 rows
+        # the search from below checks 1,424 rows of 31 initial latents
         meas = pipeline_seed3_measurements()
         assert initial_latents(meas) == 31
-        monkeypatch.setattr("latentvar.recover._ROW_BUDGET", 3_000)
+        monkeypatch.setattr("latentvar.recover._BUDGET", 3_000 * 31)
         nets = lv.nm(meas)
         assert len(nets) == 15 and {g.latent_count for g in nets} == {5}
         assert all(lv.consistent(g, meas) for g in nets)
@@ -779,9 +775,10 @@ class TestNmLag1:
         meas = meas_from_entries(4, [(1, i, j) for i, j in [(0, 2), (0, 3), (1, 1), (1, 2), (2, 0), (2, 3), (3, 0), (3, 1)]])
         assert np.linalg.matrix_rank(meas.supports[1]) == 3
         assert [g.latent_count for g in lv.nm(meas)] == [4, 4]
-        # 3 blocks fail within 10 rows; 4 take 62 rows in all
-        monkeypatch.setattr("latentvar.recover._ROW_BUDGET", 10)
-        with pytest.raises(lv.CapExceeded, match="budget of 10 rows: no partition has fewer than 4 blocks"):
+        # 3 blocks fail within 10 rows of 8 initial latents; 4 take 62 rows
+        monkeypatch.setattr("latentvar.recover._BUDGET", 10 * 8)
+        with pytest.raises(lv.CapExceeded, match=r"budget of 80 row entries \(rows checked x 8 initial latents\): "
+                                                 "no partition has fewer than 4 blocks"):
             lv.nm(meas)
 
     def test_exact_rank_matches_the_svd_rank(self):
@@ -814,14 +811,25 @@ class TestNmLag1:
             assert _exact_rank(s1.tolist()) <= k <= min(s1.any(0).sum(), s1.any(1).sum())
             drawn += 1
 
-    def test_cap_still_bounds_the_initial_graph(self):
-        star = lv.complete_census(star_network(7, 7))
-        with pytest.raises(lv.CapExceeded, match="initial graph needs 49 latent nodes, cap is 40"):
-            lv.nm(star)
-        assert lv.nm(star, cap=49) == [star_network(7, 7)]
+
+def test_degree_tree_censuses_past_40_initial_latents():
+    # hidden trees of up to 12 latents whose censuses give 41-396 initial
+    # latents: the one minimal network is the generator's
+    rng = np.random.default_rng(2040)
+    drawn = 0
+    while drawn < 10:
+        g = gen_degree_tree(rng, m_max=12)
+        meas = lv.complete_census(g)
+        if initial_latents(meas) <= 40:
+            continue
+        nets = lv.nm(meas)
+        assert len(nets) == 1 and lv.consistent(nets[0], meas)
+        assert nets[0].latent_count == g.latent_count
+        assert lv.canonical_form(nets[0]) == lv.canonical_form(g)
+        drawn += 1
 
 
-def reference_nm(meas, cap=DEFAULT_CAP):
+def reference_nm(meas):
     """``nm`` as it was when every level tried every latent pair of every
     frontier network and merged each one, from the top down.  Kept as the
     reference for the search from below; its body is unchanged but for
@@ -835,7 +843,7 @@ def reference_nm(meas, cap=DEFAULT_CAP):
         # An all-zero trailing target asks only what the post-support walk
         # of _blocks_valid checks anyway, so the targets are not trimmed.
         targets = [s.astype(bool) & inside for s in meas.supports[1:]]
-        g0 = init_graph(meas, cls, cap)
+        g0 = init_graph(meas, cls)
         _, *blocks0 = (a.astype(np.int64) for a in g0.adjacency_blocks())
         # canonical key -> (network, its int64 blocks), one merge level each
         frontier = {canonical_form(g0): (g0, blocks0)}
@@ -993,7 +1001,7 @@ class TestMergeScreen:
             if got is None:
                 continue
             meas = got[1]
-            g0 = init_graph(meas, frozenset(range(meas.n)), 12)
+            g0 = init_graph(meas, frozenset(range(meas.n)))
             _, *blocks0 = (a.astype(np.int64) for a in g0.adjacency_blocks())
             m0 = blocks0[1].shape[0]
             label = rng.integers(0, max(1, m0 // 2), size=m0)
